@@ -192,7 +192,6 @@ class RunConfig:
     evolve: EvolveSection = field(default_factory=EvolveSection)
     spectrum: SpectrumSection | None = None
     gamma_mhz: float | None = None
-    threads: int | None = None
 
     def __post_init__(self) -> None:
         if self.job is not None and self.job not in JOBS:
@@ -201,14 +200,12 @@ class RunConfig:
             raise ParameterError(f"output format must be 'csv' or 'json', got {self.output_format!r}")
         if self.figure is not None and self.figure not in FIGURE_NAMES:
             raise ParameterError(f"unknown figure {self.figure!r}; available: {', '.join(FIGURE_NAMES)}")
-        if self.threads is not None and (isinstance(self.threads, bool) or not isinstance(self.threads, int) or self.threads < 1):
-            raise ParameterError(f"threads must be a positive integer, got {self.threads!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ParameterError(f"config root must be an object, got {type(raw).__name__}")
-        allowed = {"job", "params", "output", "sweep", "figure", "evolve", "spectrum", "gamma_mhz", "threads"}
+        allowed = {"job", "params", "output", "sweep", "figure", "evolve", "spectrum", "gamma_mhz"}
         _check_keys(raw, allowed, "config")
         params = _params_from_dict(raw.get("params", {}))
         output = raw.get("output", {})
@@ -231,7 +228,6 @@ class RunConfig:
             evolve=evolve,
             spectrum=spectrum,
             gamma_mhz=gamma,
-            threads=raw.get("threads"),
         )
 
     def to_dict(self) -> dict:
@@ -244,7 +240,6 @@ class RunConfig:
             "evolve": self.evolve.to_dict(),
             "spectrum": None if self.spectrum is None else self.spectrum.to_dict(),
             "gamma_mhz": self.gamma_mhz,
-            "threads": self.threads,
         }
 
 
@@ -276,7 +271,6 @@ def _common_parent() -> argparse.ArgumentParser:
     parent.add_argument("--out", default=argparse.SUPPRESS, help="output file (default: stdout, or <figure>.<fmt>)")
     parent.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS, help="output format")
     parent.add_argument("--gamma-mhz", type=float, default=argparse.SUPPRESS, help="reference rate in MHz (metadata only)")
-    parent.add_argument("--threads", type=int, default=argparse.SUPPRESS, help="max concurrent grid evaluations")
     group = parent.add_argument_group("model parameters (units of gamma)")
     for name in PARAM_FLOAT_FLAGS:
         group.add_argument(_flag(name), type=float, default=argparse.SUPPRESS, dest=name)
@@ -446,7 +440,6 @@ def main(argv: list[str] | None = None) -> int:
         out = getattr(args, "out", cfg.output_path)
         fmt = getattr(args, "format", cfg.output_format)
         gamma = getattr(args, "gamma_mhz", cfg.gamma_mhz)
-        threads = getattr(args, "threads", cfg.threads)
 
         if command == "steady":
             return _cmd_steady(params, out, fmt, gamma)
@@ -476,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
             quantity = getattr(args, "quantity", cfg.sweep.quantity if cfg.sweep is not None else "g2_numeric")
             constraints = tuple(getattr(args, "constraints", cfg.sweep.constraints if cfg.sweep is not None else ()))
             spec = SweepSpec(base=params, axis1=axis1, axis2=axis2, quantity=quantity, constraints=constraints)
-            grid = run_sweep(spec, threads=threads)
+            grid = run_sweep(spec)
             _emit(grid_csv(grid) if fmt == "csv" else grid_json(grid, gamma), out)
             return 0
 
@@ -497,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
                 n_rows = series.times.size
                 n_failures = 0
             else:
-                grid = run_sweep(preset, threads=threads)
+                grid = run_sweep(preset)
                 text = grid_csv(grid) if fmt == "csv" else grid_json(grid, gamma)
                 n_rows = grid.values.size
                 n_failures = len(grid.failures)

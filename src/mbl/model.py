@@ -17,6 +17,7 @@ sums (delta_s, delta_m, delta_m + delta_s, 2*delta_m, ...).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -143,6 +144,29 @@ def lab_to_detunings(lab: LabFrameParams, scenario: str = "A") -> tuple[float, f
     return delta_m, delta_s
 
 
+@functools.lru_cache(maxsize=8)
+def hamiltonian_terms(space: Space) -> np.ndarray:
+    """Read-only (5, D, D) stack of the Hamiltonian's operator terms.
+
+    In order: m†m, σ₊σ₋, (m σ₊ + m† σ₋)/2, m† + m, σₓ/2. The rotating-frame
+    Hamiltonian is their sum weighted by `hamiltonian_coefficients`.
+    """
+    m = annihilation(space)
+    md = m.conj().T
+    sm, sp, _, sx = qubit_ops(space)
+    terms = np.stack([md @ m, sp @ sm, 0.5 * (m @ sp + md @ sm), md + m, 0.5 * sx])
+    terms.setflags(write=False)
+    return terms
+
+
+def hamiltonian_coefficients(params: SystemParams) -> np.ndarray:
+    """Weights of `hamiltonian_terms`: delta_m, delta_s, coupling, omega_d, omega_s.
+
+    Scenario B has omega_s = 0 by validation, so its direct drive drops out.
+    """
+    return np.array([params.delta_m, params.delta_s, params.coupling, params.omega_d, params.omega_s])
+
+
 def build_h_eff(params: SystemParams, space: Space | None = None) -> np.ndarray:
     """Rotating-frame Hamiltonian on the composite space (dense, Hermitian).
 
@@ -153,18 +177,7 @@ def build_h_eff(params: SystemParams, space: Space | None = None) -> np.ndarray:
     """
     if space is None:
         space = params.space()
-    m = annihilation(space)
-    md = m.conj().T
-    sm, sp, _, sx = qubit_ops(space)
-    h = (
-        params.delta_m * (md @ m)
-        + params.delta_s * (sp @ sm)
-        + 0.5 * params.coupling * (m @ sp + md @ sm)
-        + params.omega_d * (md + m)
-    )
-    if params.scenario == "A":
-        h = h + 0.5 * params.omega_s * sx
-    return h
+    return np.tensordot(hamiltonian_coefficients(params), hamiltonian_terms(space), axes=1)
 
 
 def build_h_nonhermitian(params: SystemParams, space: Space | None = None) -> np.ndarray:

@@ -6,16 +6,15 @@ and "kappa" sets both decay rates. Constraint strings like "delta = g_ms/2"
 re-derive dependent fields at every grid point.
 
 Grid points are independent; failures at individual points are recorded and
-never abort the grid. Results are bit-reproducible: each cell is written at
-its own index regardless of execution order.
+never abort the grid. Cells are evaluated one after another by the same
+`evaluate_point` a single-point call uses, so each cell equals that call
+and reruns are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -26,8 +25,6 @@ from .core import Space, projector
 from .errors import NumericalError, ParameterError
 from .lindblad import build_liouvillian, evolve, fock_populations, g2_zero, steady_state
 from .model import SWEEPABLE_FIELDS, SystemParams
-
-THREADS_ENV_VAR = "MBL_THREADS"
 
 AXIS_ALIASES: dict[str, tuple[str, ...]] = {
     "delta": ("delta_m", "delta_s"),
@@ -141,6 +138,7 @@ class SweepSpec:
     axis2: SweepAxis | None = None
     quantity: str = "g2_numeric"
     constraints: tuple[str, ...] = ()
+    _rules: tuple[Constraint, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.quantity not in QUANTITIES:
@@ -149,8 +147,7 @@ class SweepSpec:
             object.__setattr__(self, "constraints", (self.constraints,))
         else:
             object.__setattr__(self, "constraints", tuple(self.constraints))
-        for rule in self.constraints:
-            Constraint.parse(rule)
+        object.__setattr__(self, "_rules", tuple(Constraint.parse(rule) for rule in self.constraints))
         if self.axis2 is not None:
             overlap = set(_expand_param_name(self.axis1.name)) & set(_expand_param_name(self.axis2.name))
             if overlap:
@@ -177,8 +174,8 @@ class SweepSpec:
         if self.axis2 is not None:
             for name in _expand_param_name(self.axis2.name):
                 fields[name] = self.axis2.values[j]
-        for rule in self.constraints:
-            Constraint.parse(rule).apply(fields)
+        for rule in self._rules:
+            rule.apply(fields)
         return self.base.replace(**fields)
 
 
@@ -229,51 +226,21 @@ def evaluate_point(params: SystemParams, quantity: str) -> dict[str, float]:
     return out
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else MBL_THREADS, else CPU count."""
-    if threads is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError as exc:
-                raise ParameterError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from exc
-        else:
-            threads = os.cpu_count() or 1
-    if threads < 1:
-        raise ParameterError(f"thread count must be >= 1, got {threads}")
-    return threads
-
-
-def run_sweep(spec: SweepSpec, threads: int | None = None) -> ResultGrid:
+def run_sweep(spec: SweepSpec) -> ResultGrid:
     """Evaluate the grid. Point failures are recorded, not raised."""
     n1, n2 = spec.shape
     columns = spec.column_names()
     planes = {name: np.full((n1, n2), np.nan) for name in columns}
     failures: list[tuple[tuple[int, int], str]] = []
-
-    def job(idx: tuple[int, int]) -> tuple[tuple[int, int], dict[str, float] | None, str | None]:
-        try:
-            params = spec.params_at(*idx)
-            return idx, evaluate_point(params, spec.quantity), None
-        except (ParameterError, NumericalError, np.linalg.LinAlgError) as exc:
-            return idx, None, f"{type(exc).__name__}: {str(exc)[:160]}"
-
-    indices = [(i, j) for i in range(n1) for j in range(n2)]
-    workers = resolve_threads(threads)
-    if workers == 1 or len(indices) < 2:
-        results = map(job, indices)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, indices, chunksize=32))
-    for idx, values, tag in results:
-        if tag is not None:
-            failures.append((idx, tag))
-            continue
-        assert values is not None
-        for name in columns:
-            planes[name][idx] = values[name]
-    failures.sort(key=lambda item: item[0])
+    for i in range(n1):
+        for j in range(n2):
+            try:
+                values = evaluate_point(spec.params_at(i, j), spec.quantity)
+            except (ParameterError, NumericalError, np.linalg.LinAlgError) as exc:
+                failures.append(((i, j), f"{type(exc).__name__}: {str(exc)[:160]}"))
+                continue
+            for name in columns:
+                planes[name][i, j] = values[name]
     return ResultGrid(spec=spec, planes=planes, failures=failures)
 
 

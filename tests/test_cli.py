@@ -187,17 +187,6 @@ def test_sweep_rejects_bad_requests(capsys, argv):
     assert "error:" in err
 
 
-def test_sweep_threads_flag(capsys):
-    code, out, _ = run(capsys, "sweep", "--axis1", "delta=1.0,2.0",
-                       "--quantity", "g2_analytic", "--g-ms", "19.6",
-                       "--omega-s", "0.06", "--omega-d", "0.01",
-                       "--threads", "2")
-    assert code == 0
-    code2, _, err = run(capsys, "sweep", "--axis1", "delta=1.0",
-                        "--quantity", "g2_analytic", "--threads", "0")
-    assert code2 == 1 and "error:" in err
-
-
 def test_sweep_gamma_metadata(capsys, tmp_path):
     target = tmp_path / "grid.json"
     code, _, _ = run(capsys, "sweep", "--axis1", "delta=5.0", "--quantity",
@@ -308,6 +297,9 @@ def test_config_unknown_key(capsys, tmp_path):
     cfg = _write_config(tmp_path, {"job": "steady", "jobz": 1})
     code, _, err = run(capsys, "steady", "--config", cfg)
     assert code == 1 and "jobz" in err
+    cfg = _write_config(tmp_path, {"job": "sweep", "threads": 2})
+    code, _, err = run(capsys, "sweep", "--config", cfg)
+    assert code == 1 and "unknown key(s) in config: threads" in err
 
 
 def test_config_missing_file(capsys, tmp_path):
@@ -340,7 +332,6 @@ def test_runconfig_round_trip():
                   "constraints": ["delta_s = delta_m*1"]},
         "output": {"path": "x.csv", "format": "csv"},
         "gamma_mhz": 1.5,
-        "threads": 2,
     })
     again = RunConfig.from_dict(cfg.to_dict())
     assert again == cfg

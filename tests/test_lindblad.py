@@ -53,6 +53,61 @@ def test_liouvillian_preserves_trace(kw):
     assert np.max(np.abs(trace_row @ liouv)) < 1e-10
 
 
+def _reference_build(params, space):
+    """Direct build: every operator product and Kronecker product formed anew."""
+    m = annihilation(space)
+    md = dagger(m)
+    sm, sp, _, sx = qubit_ops(space)
+    h = (params.delta_m * (md @ m) + params.delta_s * (sp @ sm)
+         + 0.5 * params.coupling * (m @ sp + md @ sm)
+         + params.omega_d * (md + m))
+    if params.scenario == "A":
+        h = h + 0.5 * params.omega_s * sx
+    liouv = hamiltonian_superop(h)
+    if params.scenario == "A":
+        liouv = liouv + 0.5 * params.kappa_m * (params.n_th + 1.0) * dissipator_superop(m)
+        if params.n_th > 0.0:
+            liouv = liouv + 0.5 * params.kappa_m * params.n_th * dissipator_superop(md)
+    else:
+        liouv = liouv + 0.5 * params.kappa_m * dissipator_superop(m)
+    liouv = liouv + 0.5 * params.kappa_s * dissipator_superop(sm)
+    return h, liouv
+
+
+@pytest.mark.parametrize("fock_dim", range(2, 9))
+@pytest.mark.parametrize("scenario,thermal", [("A", False), ("A", True), ("B", True)])
+def test_term_table_matches_direct_build(scenario, thermal, fock_dim):
+    rng = np.random.default_rng(1000 * fock_dim + 10 * thermal + (scenario == "B"))
+    for _ in range(3):
+        kw = dict(delta_m=rng.uniform(-30, 30), delta_s=rng.uniform(-30, 30),
+                  omega_d=rng.uniform(0, 1), kappa_m=rng.uniform(0.01, 2),
+                  kappa_s=rng.uniform(0.01, 2),
+                  n_th=rng.uniform(0.01, 3) if thermal else 0.0,
+                  scenario=scenario, fock_dim=fock_dim)
+        if scenario == "A":
+            kw.update(g_ms=rng.uniform(0, 30), omega_s=rng.uniform(0, 1))
+        else:
+            kw.update(g_ms_tilde=rng.uniform(0, 60))
+        p = SystemParams(**kw)
+        s = p.space()
+        h_ref, liouv_ref = _reference_build(p, s)
+        h, liouv = build_h_eff(p, s), build_liouvillian(p, s)
+        assert np.max(np.abs(h - h_ref)) <= 1e-13 * np.max(np.abs(h_ref))
+        assert np.max(np.abs(liouv - liouv_ref)) <= 1e-13 * np.max(np.abs(liouv_ref))
+        trace_row = vectorize(np.eye(s.total_dim, dtype=complex))
+        assert np.max(np.abs(trace_row @ liouv)) <= 1e-12
+
+
+def test_builds_return_fresh_arrays(broad_params):
+    s = broad_params.space()
+    h, liouv = build_h_eff(broad_params, s), build_liouvillian(broad_params, s)
+    h_want, liouv_want = h.copy(), liouv.copy()
+    h[:] = 7.0
+    liouv[:] = 7.0
+    assert np.array_equal(build_h_eff(broad_params, s), h_want)
+    assert np.array_equal(build_liouvillian(broad_params, s), liouv_want)
+
+
 def test_single_quantum_decay_rates():
     # pure loss: d/dt |g,1><g,1| = kappa_m (P_g0 - P_g1)
     p = SystemParams(kappa_m=0.4, kappa_s=0.0, fock_dim=3)

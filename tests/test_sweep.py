@@ -7,8 +7,7 @@ from mbl.lindblad import build_liouvillian, g2_zero, steady_state
 from mbl.model import SystemParams
 from mbl.sweep import (AXIS_ALIASES, FIGURE_NAMES, Constraint, EvolutionJob,
                        SweepAxis, SweepSpec, evaluate_point, figure_preset,
-                       find_minimum, resolve_threads, run_evolution,
-                       run_sweep)
+                       find_minimum, run_evolution, run_sweep)
 
 
 # ------------------------------------------------------------------- axes
@@ -137,7 +136,7 @@ def test_single_point_matches_direct_call(broad_params):
     assert grid.failures == []
 
 
-def test_sweep_deterministic_across_thread_counts(broad_params):
+def test_sweep_rerun_deterministic(broad_params):
     # base has no qubit drive, so the omega_d = 0 column is dark and the
     # per-cell failure path is exercised too
     spec = SweepSpec(
@@ -146,8 +145,8 @@ def test_sweep_deterministic_across_thread_counts(broad_params):
         axis2=SweepAxis.explicit("omega_d", [0.0, 0.01]),
         quantity="both_g2",
     )
-    a = run_sweep(spec, threads=1)
-    b = run_sweep(spec, threads=3)
+    a = run_sweep(spec)
+    b = run_sweep(spec)
     for col in spec.column_names():
         assert np.array_equal(a.planes[col], b.planes[col], equal_nan=True)
     assert a.failures == b.failures
@@ -238,22 +237,6 @@ def test_evolution_job_validation(broad_params):
         EvolutionJob(base=broad_params, t_end=1.0, num=1)
     with pytest.raises(ParameterError):
         EvolutionJob(base=broad_params, t_end=1.0, num=10.0)
-
-
-# ---------------------------------------------------------------- threads
-
-def test_resolve_threads(monkeypatch):
-    assert resolve_threads(4) == 4
-    monkeypatch.setenv("MBL_THREADS", "3")
-    assert resolve_threads() == 3
-    assert resolve_threads(2) == 2  # explicit argument wins
-    monkeypatch.setenv("MBL_THREADS", "zebra")
-    with pytest.raises(ParameterError):
-        resolve_threads()
-    monkeypatch.delenv("MBL_THREADS")
-    assert resolve_threads() >= 1
-    with pytest.raises(ParameterError):
-        resolve_threads(0)
 
 
 # ---------------------------------------------------------------- presets

@@ -123,3 +123,23 @@ def expectation(op: np.ndarray, rho: np.ndarray) -> complex:
     if op.shape != rho.shape or op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"shape mismatch: op {op.shape} vs rho {rho.shape}")
     return complex(np.trace(op @ rho))
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring a degree-18 Taylor series.
+
+    `a` is halved s times until its 1-norm is at most 1/4, where the series tail
+    is far below double precision, and the sum is squared s times (Moler & Van Loan 2003).
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expm expects a square matrix, got shape {a.shape}")
+    squarings = max(0, int(np.frexp(4.0 * np.linalg.norm(a, 1))[1]))
+    a = a / 2.0**squarings
+    eye = np.eye(a.shape[0], dtype=np.result_type(a, float))
+    out = eye
+    for k in range(18, 0, -1):
+        out = eye + (a @ out) / k
+    for _ in range(squarings):
+        out = out @ out
+    return out

@@ -183,15 +183,13 @@ def build_h_eff(params: SystemParams, space: Space | None = None) -> np.ndarray:
 def build_h_nonhermitian(params: SystemParams, space: Space | None = None) -> np.ndarray:
     """Effective non-Hermitian Hamiltonian: decay folded into the energies.
 
-    H_eff - i(kappa_m/2) m†m - i(kappa_s/2) σ₊σ₋. The anti-Hermitian part is
-    negative semi-definite, so amplitudes can only lose norm.
+    H_eff - i(kappa_m/2) m†m - i(kappa_s/2) σ₊σ₋, from `hamiltonian_terms`. The
+    anti-Hermitian part is negative semi-definite, so amplitudes can only lose norm.
     """
     if space is None:
         space = params.space()
-    m = annihilation(space)
-    sm, sp, _, _ = qubit_ops(space)
-    h = build_h_eff(params, space)
-    return h - 0.5j * params.kappa_m * (m.conj().T @ m) - 0.5j * params.kappa_s * (sp @ sm)
+    damping = np.array([params.kappa_m, params.kappa_s, 0.0, 0.0, 0.0])
+    return np.tensordot(hamiltonian_coefficients(params) - 0.5j * damping, hamiltonian_terms(space), axes=1)
 
 
 @dataclass(frozen=True)

@@ -247,14 +247,13 @@ def test_evolution_step_insensitive(broad_params):
     assert np.max(np.abs(a - b)) < 1e-8
 
 
-def test_evolution_fourth_order(broad_params):
-    # halving dt in the transient must shrink the error about 16x
-    ref = evolve_amplitudes(broad_params, t_end=2.0, dt=0.0005).final().as_array()
-    e1 = np.max(np.abs(
-        evolve_amplitudes(broad_params, t_end=2.0, dt=0.01).final().as_array() - ref))
-    e2 = np.max(np.abs(
-        evolve_amplitudes(broad_params, t_end=2.0, dt=0.005).final().as_array() - ref))
-    assert 8.0 < e1 / e2 < 32.0
+def test_evolution_coarse_steps_are_exact(broad_params):
+    # the step propagator is exact: a step past any explicit-scheme stability
+    # limit lands on the same amplitudes as a fine grid
+    coarse = evolve_amplitudes(broad_params, t_end=10.0, dt=2.5)
+    fine = evolve_amplitudes(broad_params, t_end=10.0, dt=0.01)
+    assert coarse.times.size == 5
+    assert np.max(np.abs(coarse.amplitudes - fine.amplitudes[::250])) < 1e-12
 
 
 def test_evolution_zero_params_stay_zero():
@@ -267,6 +266,3 @@ def test_evolution_validation(broad_params):
         evolve_amplitudes(broad_params, t_end=0.0, dt=0.01)
     with pytest.raises(ParameterError):
         evolve_amplitudes(broad_params, t_end=10.0, dt=0.0)
-    # explicit scheme stability guard: dt must resolve the decay
-    with pytest.raises(ParameterError):
-        evolve_amplitudes(broad_params, t_end=10.0, dt=1.5)

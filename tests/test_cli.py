@@ -1,9 +1,14 @@
 """Command-line behavior: flags, configs, outputs, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mbl
 from mbl.cli import RunConfig, load_config, main
 
 BRIGHT = ["--delta", "9.8", "--g-ms", "19.6", "--omega-s", "0.06",
@@ -364,3 +369,21 @@ def test_unknown_flag_fails(capsys):
     code = main(["steady", "--frobnicate", "3"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # every subcommand that computes runs with scipy blocked from import
+    fig7 = tmp_path / "fig7.csv"
+    runs = [["steady", *BRIGHT], ["analytic", *BRIGHT],
+            ["sweep", "--axis1", "delta:-1:1:3", "--quantity", "both_g2", *BRIGHT[2:]],
+            ["evolve", *BRIGHT, "--t-end", "1", "--num", "3"],
+            ["figure", "fig7", "--out", str(fig7)]]
+    script = ("import sys; sys.modules['scipy'] = None\n"
+              "from mbl.cli import main\n"
+              f"print([main(argv) for argv in {runs!r}])\n")
+    src = str(Path(mbl.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().split("\n")[-1] == "[0, 0, 0, 0, 0]"
+    assert len(fig7.read_text().strip().split("\n")) == 1002

@@ -1,10 +1,12 @@
-"""Operator toolbox: basis ordering, ladder algebra, adjoints, expectations."""
+"""Operator toolbox: basis ordering, ladder algebra, adjoints, expectations, expm."""
 import numpy as np
 import pytest
 
-from mbl.core import (Space, annihilation, dagger, expectation, identity, ket,
-                      projector, qubit_ops, tensor)
+from mbl.core import (Space, annihilation, dagger, expectation, expm, identity,
+                      ket, projector, qubit_ops, tensor)
 from mbl.errors import ParameterError
+from mbl.lindblad import build_liouvillian
+from mbl.sweep import figure_preset
 
 
 def test_space_dimensions():
@@ -148,3 +150,31 @@ def test_expectation():
     assert expectation(number, mixed) == pytest.approx(1.5)
     with pytest.raises(ValueError):
         expectation(number, np.eye(3))
+
+
+def test_expm_of_zero_is_identity():
+    assert np.array_equal(expm(np.zeros((5, 5), dtype=complex)), np.eye(5))
+    with pytest.raises(ValueError):
+        expm(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("dt", [0.1, 1.0, 10.0, 200.0])
+def test_expm_matches_reference_on_fig7_liouvillian(dt):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    liouv = build_liouvillian(figure_preset("fig7").base)
+    ref = scipy_linalg.expm(liouv * dt)
+    assert np.max(np.abs(expm(liouv * dt) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_expm_matches_reference_on_random_matrices(seed):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(seed)
+    n = 3 + 5 * seed
+    a = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * 10.0 ** (seed - 1)
+    ref = scipy_linalg.expm(a)
+    assert np.max(np.abs(expm(a) - ref)) <= 1e-11 * np.max(np.abs(ref))
+    real = rng.normal(size=(n, n))
+    got, ref = expm(real), scipy_linalg.expm(real)
+    assert got.dtype == float
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))

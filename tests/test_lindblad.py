@@ -206,6 +206,44 @@ def test_evolve_basics(broad_params):
     assert np.max(np.abs(frozen - rho0)) < 1e-12
 
 
+# 30-digit mpmath oracle: the master equation of the same parameters built
+# independently at 30 digits, rho(t) = unvec(expm(L t) vec(|g,0><g,0|)).
+# Per time: the diagonal of rho, then selected coherences rho[i, j].
+EVOLVE_ORACLE_PARAMS = dict(delta_m=1.0, delta_s=-0.5, g_ms=2.0, omega_s=0.8,
+                            omega_d=0.6, kappa_m=1.0, kappa_s=0.5, n_th=0.2,
+                            fock_dim=3)
+EVOLVE_ORACLE = {
+    0.5: (
+        [0.84175621117177108872, 0.10768428933745377747,
+         0.013530254241488974804, 0.031918393772280271617,
+         0.0045425673895453697604, 0.00056828408746051763025],
+        {(0, 1): -0.083312824475988233164 + 0.1883154262639706694j,
+         (0, 3): -0.031550913217768706454 + 0.1474418565860408333j,
+         (1, 5): -0.0050978555307140460837 - 0.0020986135711294786423j},
+    ),
+    2.0: (
+        [0.58123041630909337978, 0.22035131288314845213,
+         0.067420008505738519496, 0.080132491722077050156,
+         0.031841288617233014863, 0.019024481962709583569],
+        {(0, 1): -0.28020639640132343001 + 0.060922541883197627562j,
+         (0, 3): -0.080851112597989755677 + 0.10484646955814303354j,
+         (1, 5): -0.01073979250430953449 - 0.034987790524266831157j},
+    ),
+}
+
+
+def test_evolve_matches_oracle():
+    p = SystemParams(**EVOLVE_ORACLE_PARAMS)
+    s = p.space()
+    times = np.array([0.0, 0.5, 2.0])
+    path = evolve(build_liouvillian(p, s), projector(s, 0, 0), times)
+    for rho, t in zip(path[1:], times[1:]):
+        diag, coherences = EVOLVE_ORACLE[t]
+        assert np.max(np.abs(np.diagonal(rho) - diag)) < 1e-13
+        for (i, j), value in coherences.items():
+            assert abs(rho[i, j] - value) < 1e-13
+
+
 def test_evolve_single_time_returns_copy():
     s = Space(3)
     rho0 = projector(s, 1, 1)

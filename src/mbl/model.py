@@ -43,6 +43,13 @@ SWEEPABLE_FIELDS = (
 )
 
 
+def finite_real(name: str, value) -> float:
+    """`value` as a float; ParameterError unless it is a finite int or float (bools excluded)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ParameterError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Rotating-frame model parameters (all rates in units of gamma).
@@ -121,10 +128,7 @@ class LabFrameParams:
 
     def __post_init__(self) -> None:
         for name in ("omega_m", "e_z", "k_0", "omega_d", "omega_s"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-                raise ParameterError(f"{name} must be a finite real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
 
 
 def lab_to_detunings(lab: LabFrameParams, scenario: str = "A") -> tuple[float, float]:
@@ -221,9 +225,7 @@ def dressed_spectrum(omega_m: float, omega_q: float, g: float, n_max: int) -> li
     both coefficients are 1/√2 in magnitude; at g = 0 they collapse onto the
     bare basis states.
     """
-    for name, value in (("omega_m", omega_m), ("omega_q", omega_q), ("g", g)):
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value!r}")
+    omega_m, omega_q, g = finite_real("omega_m", omega_m), finite_real("omega_q", omega_q), finite_real("g", g)
     if g < 0:
         raise ParameterError(f"g must be >= 0, got {g}")
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:

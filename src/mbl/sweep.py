@@ -24,7 +24,7 @@ from .analytic import analytic_g2
 from .core import Space, projector
 from .errors import NumericalError, ParameterError
 from .lindblad import build_liouvillian, evolve, fock_populations, g2_zero, steady_state
-from .model import SWEEPABLE_FIELDS, SystemParams
+from .model import SWEEPABLE_FIELDS, SystemParams, finite_real
 
 AXIS_ALIASES: dict[str, tuple[str, ...]] = {
     "delta": ("delta_m", "delta_s"),
@@ -44,7 +44,7 @@ _CONSTRAINT_RE = re.compile(
 
 
 def _expand_param_name(name: str) -> tuple[str, ...]:
-    if name in AXIS_ALIASES:
+    if isinstance(name, str) and name in AXIS_ALIASES:
         return AXIS_ALIASES[name]
     if name in SWEEPABLE_FIELDS:
         return (name,)
@@ -64,19 +64,15 @@ class SweepAxis:
         _expand_param_name(self.name)
         if len(self.values) < 1:
             raise ParameterError(f"axis {self.name!r} needs at least one value")
-        vals = []
-        for v in self.values:
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ParameterError(f"axis {self.name!r} has a non-finite value {v!r}")
-            vals.append(float(v))
-        object.__setattr__(self, "values", tuple(vals))
+        object.__setattr__(self, "values", tuple(finite_real(f"axis {self.name!r} value", v) for v in self.values))
 
     @classmethod
     def linspace(cls, name: str, lo: float, hi: float, count: int) -> "SweepAxis":
         if not isinstance(count, int) or isinstance(count, bool) or count < 2:
             raise ParameterError(f"axis {name!r}: count must be an integer >= 2, got {count!r}")
-        if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-            raise ParameterError(f"axis {name!r}: need finite lo < hi, got [{lo!r}, {hi!r}]")
+        lo, hi = finite_real(f"axis {name!r}: lo", lo), finite_real(f"axis {name!r}: hi", hi)
+        if not lo < hi:
+            raise ParameterError(f"axis {name!r}: need lo < hi, got [{lo!r}, {hi!r}]")
         return cls(name, tuple(np.linspace(lo, hi, count)))
 
     @classmethod
@@ -102,7 +98,7 @@ class Constraint:
 
     @classmethod
     def parse(cls, rule: str) -> "Constraint":
-        match = _CONSTRAINT_RE.match(rule)
+        match = _CONSTRAINT_RE.match(rule) if isinstance(rule, str) else None
         if match is None:
             raise ParameterError(f"cannot parse constraint {rule!r}; expected 'name = name[*k|/k]' or 'name = value'")
         target = match.group("target")
@@ -143,10 +139,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.quantity not in QUANTITIES:
             raise ParameterError(f"quantity must be one of {QUANTITIES}, got {self.quantity!r}")
-        if isinstance(self.constraints, str):
-            object.__setattr__(self, "constraints", (self.constraints,))
-        else:
-            object.__setattr__(self, "constraints", tuple(self.constraints))
+        constraints = (self.constraints,) if isinstance(self.constraints, str) else self.constraints
+        if not isinstance(constraints, (list, tuple)):
+            raise ParameterError(f"constraints must be a string or a list of strings, got {constraints!r}")
+        object.__setattr__(self, "constraints", tuple(constraints))
         object.__setattr__(self, "_rules", tuple(Constraint.parse(rule) for rule in self.constraints))
         if self.axis2 is not None:
             overlap = set(_expand_param_name(self.axis1.name)) & set(_expand_param_name(self.axis2.name))
@@ -268,7 +264,8 @@ class EvolutionJob:
     num: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.t_end) or self.t_end <= 0:
+        object.__setattr__(self, "t_end", finite_real("t_end", self.t_end))
+        if self.t_end <= 0:
             raise ParameterError(f"t_end must be positive, got {self.t_end!r}")
         if not isinstance(self.num, int) or isinstance(self.num, bool) or self.num < 2:
             raise ParameterError(f"num must be an integer >= 2, got {self.num!r}")
@@ -408,7 +405,6 @@ FIGURE_NAMES = tuple(sorted(_presets()))
 
 def figure_preset(name: str) -> SweepSpec | EvolutionJob:
     """Sweep (or evolution) behind one of the bundled figure presets."""
-    presets = _presets()
-    if name not in presets:
+    if name not in FIGURE_NAMES:
         raise ParameterError(f"unknown figure {name!r}; available: {', '.join(FIGURE_NAMES)}")
-    return presets[name]
+    return _presets()[name]

@@ -1,6 +1,7 @@
 """Command-line behavior: flags, configs, outputs, exit codes."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import mbl
-from mbl.cli import RunConfig, load_config, main
+from mbl.cli import main
 
 BRIGHT = ["--delta", "9.8", "--g-ms", "19.6", "--omega-s", "0.06",
           "--omega-d", "0.01", "--kappa", "0.15"]
@@ -327,27 +328,105 @@ def test_flags_override_config(capsys, tmp_path):
     assert mapping(out)["p0"] == pytest.approx(1.0)
 
 
-def test_runconfig_round_trip():
-    cfg = RunConfig.from_dict({
-        "job": "sweep",
-        "params": {"g_ms": 19.6, "omega_d": 0.01},
-        "sweep": {"axis1": {"name": "delta", "min": 0.0, "max": 1.0,
-                            "count": 5},
-                  "quantity": "g2_analytic",
-                  "constraints": ["delta_s = delta_m*1"]},
-        "output": {"path": "x.csv", "format": "csv"},
-        "gamma_mhz": 1.5,
-    })
-    again = RunConfig.from_dict(cfg.to_dict())
-    assert again == cfg
+# Each case: the command, its config document and the same run spelled as flags.
+# Config numbers are ints where flags give floats, and params use the split fields
+# where flags use the --delta/--kappa aliases.
+_SPLIT = {"delta_m": 9.8, "delta_s": 9.8, "g_ms": 19.6, "omega_s": 0.06,
+          "omega_d": 0.01, "kappa_m": 0.15, "kappa_s": 0.15}
+EQUIVALENT_RUNS = {
+    "steady": ({"params": _SPLIT, "gamma_mhz": 2, "output": {"format": "json"}},
+               [*BRIGHT, "--gamma-mhz", "2", "--format", "json"]),
+    "analytic": ({"params": _SPLIT, "gamma_mhz": None, "sweep": None}, BRIGHT),  # null = absent
+    "evolve": ({"params": _SPLIT, "evolve": {"t_end": 2, "num": 5}},
+               [*BRIGHT, "--t-end", "2", "--num", "5"]),
+    "spectrum": ({"spectrum": {"omega_m": 7, "omega_q": 6.5, "g": 2, "n_max": 2},
+                  "output": {"format": "json"}, "gamma_mhz": 1.5},
+                 ["--omega-m", "7", "--omega-q", "6.5", "--g", "2", "--n-max", "2",
+                  "--format", "json", "--gamma-mhz", "1.5"]),
+    "figure": ({"figure": "fig7", "output": {"format": "json"}}, ["fig7", "--format", "json"]),
+    "sweep": ({"params": {"omega_s": 0.06, "kappa_m": 0.15, "kappa_s": 0.15},
+               "sweep": {"axis1": {"name": "g_ms", "min": 1, "max": 20, "count": 4},
+                         "axis2": {"name": "omega_d", "values": [0.005, 0.01]},
+                         "quantity": "g2_analytic", "constraints": ["delta = g_ms/2"]},
+               "gamma_mhz": 1.5, "output": {"format": "json"}},
+              ["--omega-s", "0.06", "--kappa", "0.15", "--axis1", "g_ms:1:20:4",
+               "--axis2", "omega_d=0.005,0.01", "--quantity", "g2_analytic",
+               "--constraint", "delta = g_ms/2", "--gamma-mhz", "1.5", "--format", "json"]),
+}
 
 
-def test_load_config_round_trips_through_disk(tmp_path):
-    cfg = RunConfig.from_dict({"job": "evolve",
-                               "evolve": {"t_end": 5.0, "num": 11}})
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_dict()))
-    assert load_config(str(path)) == cfg
+def _without_timestamp(path):
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', path.read_text())
+
+
+@pytest.mark.parametrize("command", sorted(EQUIVALENT_RUNS))
+def test_config_matches_flags(capsys, tmp_path, command):
+    doc, argv = EQUIVALENT_RUNS[command]
+    from_config, from_flags = tmp_path / "config.out", tmp_path / "flags.out"
+    cfg = _write_config(tmp_path, {"job": command, **doc,
+                                   "output": {**doc.get("output", {}), "path": str(from_config)}})
+    assert run(capsys, command, "--config", cfg)[0] == 0
+    assert run(capsys, command, *argv, "--out", str(from_flags))[0] == 0
+    assert _without_timestamp(from_config) == _without_timestamp(from_flags)
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("steady", {"gamma_mhz": "x"}),
+    ("evolve", {"evolve": {"t_end": "abc"}}),
+    ("sweep", {"sweep": 3}),
+    ("evolve", {"evolve": [1]}),
+    ("spectrum", {"spectrum": {"omega_m": "a", "omega_q": 1, "g": 1}}),
+    ("sweep", {"sweep": {"axis1": {"name": "delta", "min": "a", "max": 1, "count": 3}}}),
+    ("sweep", {"sweep": {"axis1": {"name": ["delta"], "values": [1]}}}),
+    ("sweep", {"sweep": {"axis1": "delta=1", "constraints": 5}}),
+    ("sweep", {"sweep": {"axis1": "delta=1", "constraints": [5]}}),
+    ("figure", {"figure": ["fig7"]}),
+    # model parameters are checked for every subcommand, also where unused
+    ("figure", {"figure": "fig7", "params": {"kappa_m": "x"}}),
+    ("spectrum", {"params": {"kappa_m": -1}, "spectrum": {"omega_m": 7, "omega_q": 7, "g": 2}}),
+])
+def test_config_rejects_malformed_values(capsys, tmp_path, command, doc):
+    code, out, err = run(capsys, command, "--config", _write_config(tmp_path, doc))
+    assert code == 1 and err.startswith("error:")
+    assert out == ""  # rejected before any numerics ran
+
+
+def test_config_output_path_must_be_a_string(capsys, tmp_path):
+    cfg = _write_config(tmp_path, {"output": {"path": 5}})
+    code, out, err = run(capsys, "steady", *BRIGHT, "--config", cfg)
+    assert code == 1 and err.startswith("error:") and "path" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-3", "0"])
+def test_gamma_must_be_finite_and_positive(capsys, tmp_path, gamma):
+    target = tmp_path / "grid.json"
+    code, out, err = run(capsys, "sweep", "--axis1", "delta=5.0", "--quantity", "g2_analytic",
+                         "--format", "json", "--gamma-mhz", gamma, "--out", str(target))
+    assert code == 1 and err.startswith("error:") and "gamma_mhz" in err
+    assert not target.exists()
+
+
+def test_append_flag_does_not_carry_into_next_call(capsys, tmp_path):
+    argv = ["sweep", "--axis1", "g_ms=19.6", "--quantity", "g2_analytic", "--format", "json"]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run(capsys, *argv, "--constraint", "delta = g_ms/2", "--out", str(first))[0] == 0
+    assert run(capsys, *argv, "--out", str(second))[0] == 0
+    assert json.loads(first.read_text())["spec"]["constraints"] == ["delta = g_ms/2"]
+    assert json.loads(second.read_text())["spec"]["constraints"] == []
+
+
+def test_readme_config_example_runs(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "run.json").write_text(example)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "sweep", "--config", "run.json")
+    assert code == 0, err
+    out_path = json.loads(example)["output"]["path"]
+    lines = (tmp_path / out_path).read_text().strip().split("\n")
+    assert lines[0] == "delta,log10_g2_numeric,log10_g2_analytic"
+    assert len(lines) == 202
 
 
 # ------------------------------------------------------------------- misc

@@ -20,7 +20,7 @@ from .analytic import (
     optimal_detuning,
     solve_steady_linear,
 )
-from .core import Space, annihilation, dagger, expectation, identity, ket, projector, qubit_ops, tensor
+from .core import Space, annihilation, projector, qubit_ops
 from .errors import NumericalError, ParameterError
 from .lindblad import (
     build_liouvillian,
@@ -33,12 +33,10 @@ from .lindblad import (
 )
 from .model import (
     DressedLevel,
-    LabFrameParams,
     SystemParams,
     build_h_eff,
     build_h_nonhermitian,
     dressed_spectrum,
-    lab_to_detunings,
 )
 from .sweep import (
     FIGURE_NAMES,
@@ -60,7 +58,6 @@ __all__ = [
     "DressedLevel",
     "EvolutionJob",
     "FIGURE_NAMES",
-    "LabFrameParams",
     "NumericalError",
     "ParameterError",
     "ResultGrid",
@@ -76,19 +73,14 @@ __all__ = [
     "build_h_nonhermitian",
     "build_liouvillian",
     "closed_form_amplitudes",
-    "dagger",
     "density_diagnostics",
     "dressed_spectrum",
     "evolve",
     "evolve_amplitudes",
-    "expectation",
     "figure_preset",
     "find_minimum",
     "fock_populations",
     "g2_zero",
-    "identity",
-    "ket",
-    "lab_to_detunings",
     "mean_occupation",
     "optimal_detuning",
     "projector",
@@ -97,5 +89,4 @@ __all__ = [
     "run_sweep",
     "solve_steady_linear",
     "steady_state",
-    "tensor",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import Space, expm
 from .errors import NumericalError, ParameterError
-from .model import SystemParams, build_h_nonhermitian
+from .model import SystemParams, build_h_nonhermitian, finite_real
 
 # basis order of the truncated amplitude vector: (two-level, oscillator)
 STATE_ORDER: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
@@ -49,10 +49,6 @@ class AmplitudeTrajectory:
 
     times: np.ndarray
     amplitudes: np.ndarray  # shape (len(times), 5), order per STATE_ORDER
-
-    @property
-    def samples(self) -> list[AmplitudeSet]:
-        return [AmplitudeSet(*row) for row in self.amplitudes]
 
     def final(self) -> AmplitudeSet:
         return AmplitudeSet(*self.amplitudes[-1])
@@ -135,10 +131,11 @@ def evolve_amplitudes(params: SystemParams, t_end: float, dt: float) -> Amplitud
     actual step divides t_end evenly. Long times relax onto the
     `solve_steady_linear` solution when both decay rates are positive.
     """
-    if not math.isfinite(t_end) or t_end <= 0:
-        raise ParameterError(f"t_end must be positive and finite, got {t_end!r}")
-    if not math.isfinite(dt) or dt <= 0:
-        raise ParameterError(f"dt must be positive and finite, got {dt!r}")
+    t_end, dt = finite_real("t_end", t_end), finite_real("dt", dt)
+    if t_end <= 0:
+        raise ParameterError(f"t_end must be positive, got {t_end!r}")
+    if dt <= 0:
+        raise ParameterError(f"dt must be positive, got {dt!r}")
     m = reduced_matrix(params)
     m[0] = 0.0
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
@@ -165,6 +162,7 @@ def analytic_g2(params: SystemParams) -> float:
 
 def optimal_detuning(g: float) -> tuple[float, float]:
     """Detunings minimizing g²(0) for the symmetric case: ±g/2."""
-    if not math.isfinite(g) or g < 0:
-        raise ParameterError(f"g must be finite and >= 0, got {g!r}")
+    g = finite_real("g", g)
+    if g < 0:
+        raise ParameterError(f"g must be >= 0, got {g!r}")
     return (0.5 * g, -0.5 * g)

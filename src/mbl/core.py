@@ -34,10 +34,6 @@ class Space:
             raise ParameterError(f"fock_dim must be an integer >= 2, got {self.fock_dim!r}")
 
     @property
-    def qubit_dim(self) -> int:
-        return QUBIT_DIM
-
-    @property
     def total_dim(self) -> int:
         return QUBIT_DIM * self.fock_dim
 
@@ -48,16 +44,6 @@ class Space:
         if not 0 <= fock < self.fock_dim:
             raise ParameterError(f"fock level must be in [0, {self.fock_dim}), got {fock}")
         return qubit * self.fock_dim + fock
-
-    def levels(self, index: int) -> tuple[int, int]:
-        """Inverse of `index`: flat index -> (qubit, fock)."""
-        if not 0 <= index < self.total_dim:
-            raise ParameterError(f"index must be in [0, {self.total_dim}), got {index}")
-        return divmod(index, self.fock_dim)
-
-
-def identity(space: Space) -> np.ndarray:
-    return np.eye(space.total_dim, dtype=complex)
 
 
 def annihilation(space: Space) -> np.ndarray:
@@ -70,59 +56,26 @@ def annihilation(space: Space) -> np.ndarray:
     return np.kron(np.eye(QUBIT_DIM, dtype=complex), a)
 
 
-def qubit_ops(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def qubit_ops(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-level operators on the composite space.
 
-    Returns (sigma_minus, sigma_plus, sigma_z, sigma_x), each tensored with
-    the oscillator identity. sigma_minus maps the upper level to the lower
-    one; sigma_z is -1 on the lower level, +1 on the upper.
+    Returns (sigma_minus, sigma_plus, sigma_x), each tensored with the
+    oscillator identity. sigma_minus maps the upper level to the lower one.
     """
     lower = np.array([[0, 1], [0, 0]], dtype=complex)
     eye_f = np.eye(space.fock_dim, dtype=complex)
     sm = np.kron(lower, eye_f)
     sp = sm.conj().T
-    sz = sp @ sm - sm @ sp
     sx = sp + sm
-    return sm, sp, sz, sx
-
-
-def dagger(op: np.ndarray) -> np.ndarray:
-    """Hermitian adjoint (conjugate transpose)."""
-    op = np.asarray(op)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"dagger expects a square matrix, got shape {op.shape}")
-    return op.conj().T
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor on the slow index."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("tensor expects two matrices")
-    return np.kron(a, b)
-
-
-def ket(space: Space, qubit: int, fock: int) -> np.ndarray:
-    """Basis column vector for the product state |qubit⟩ ⊗ |fock⟩."""
-    v = np.zeros(space.total_dim, dtype=complex)
-    v[space.index(qubit, fock)] = 1.0
-    return v
+    return sm, sp, sx
 
 
 def projector(space: Space, qubit: int, fock: int) -> np.ndarray:
     """Rank-1 density matrix |qubit, fock⟩⟨qubit, fock|."""
-    v = ket(space, qubit, fock)
-    return np.outer(v, v.conj())
-
-
-def expectation(op: np.ndarray, rho: np.ndarray) -> complex:
-    """tr(op @ rho). Both matrices must share the same square shape."""
-    op = np.asarray(op)
-    rho = np.asarray(rho)
-    if op.shape != rho.shape or op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"shape mismatch: op {op.shape} vs rho {rho.shape}")
-    return complex(np.trace(op @ rho))
+    k = space.index(qubit, fock)
+    out = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    out[k, k] = 1.0
+    return out
 
 
 def expm(a: np.ndarray) -> np.ndarray:

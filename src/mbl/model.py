@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -81,12 +80,7 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         for name in SWEEPABLE_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ParameterError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
         for name in ("g_ms", "g_ms_tilde", "omega_s", "omega_d", "kappa_m", "kappa_s", "n_th"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -109,45 +103,6 @@ class SystemParams:
         return replace(self, **changes)
 
 
-@dataclass(frozen=True)
-class LabFrameParams:
-    """Lab-frame frequencies (same units as each other; typically MHz).
-
-    omega_m : oscillator mode frequency
-    e_z     : two-level splitting, scenario A
-    k_0     : two-level splitting, scenario B
-    omega_d : probe drive frequency
-    omega_s : direct two-level drive frequency (scenario A)
-    """
-
-    omega_m: float = 0.0
-    e_z: float = 0.0
-    k_0: float = 0.0
-    omega_d: float = 0.0
-    omega_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("omega_m", "e_z", "k_0", "omega_d", "omega_s"):
-            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
-
-
-def lab_to_detunings(lab: LabFrameParams, scenario: str = "A") -> tuple[float, float]:
-    """Rotating-frame detunings (delta_m, delta_s) from lab-frame frequencies.
-
-    The oscillator rotates at the probe frequency in both scenarios. The
-    two-level system rotates at its own drive frequency in scenario A and at
-    the probe frequency in scenario B.
-    """
-    if scenario not in SCENARIOS:
-        raise ParameterError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    delta_m = lab.omega_m - lab.omega_d
-    if scenario == "A":
-        delta_s = lab.e_z - lab.omega_s
-    else:
-        delta_s = lab.k_0 - lab.omega_d
-    return delta_m, delta_s
-
-
 @functools.lru_cache(maxsize=8)
 def hamiltonian_terms(space: Space) -> np.ndarray:
     """Read-only (5, D, D) stack of the Hamiltonian's operator terms.
@@ -157,7 +112,7 @@ def hamiltonian_terms(space: Space) -> np.ndarray:
     """
     m = annihilation(space)
     md = m.conj().T
-    sm, sp, _, sx = qubit_ops(space)
+    sm, sp, sx = qubit_ops(space)
     terms = np.stack([md @ m, sp @ sm, 0.5 * (m @ sp + md @ sm), md + m, 0.5 * sx])
     terms.setflags(write=False)
     return terms
@@ -246,9 +201,3 @@ def dressed_spectrum(omega_m: float, omega_q: float, g: float, n_max: int) -> li
                 c_e = 2.0 * gap / norm
             levels.append(DressedLevel(n=n, branch=branch, energy=energy, c_g_n=c_g, c_e_nm1=c_e))
     return levels
-
-
-def level_table(levels: Iterable[DressedLevel]) -> np.ndarray:
-    """Levels as a plain (k, 5) float array: n, branch, energy, c_g_n, c_e_nm1."""
-    rows = [(lv.n, lv.branch, lv.energy, lv.c_g_n, lv.c_e_nm1) for lv in levels]
-    return np.asarray(rows, dtype=float)

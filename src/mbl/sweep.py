@@ -87,6 +87,15 @@ class SweepAxis:
         return np.asarray(self.values, dtype=float)
 
 
+def _rule_number(rule: str, text: str) -> float:
+    """A constraint's factor or literal as a finite float; ParameterError otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = text
+    return finite_real(f"constraint {rule!r}: number", value)
+
+
 @dataclass(frozen=True)
 class Constraint:
     """Parsed linkage rule: target = source [*/ factor] or target = literal."""
@@ -104,19 +113,17 @@ class Constraint:
         target = match.group("target")
         _expand_param_name(target)
         if match.group("literal") is not None:
-            return cls(target=target, source=None, scale=1.0, offset_literal=float(match.group("literal")))
+            return cls(target=target, source=None, scale=1.0, offset_literal=_rule_number(rule, match.group("literal")))
         source = match.group("source")
         if source not in SWEEPABLE_FIELDS:
             raise ParameterError(f"constraint {rule!r}: source must be one of {SWEEPABLE_FIELDS}")
         scale = 1.0
         if match.group("op") is not None:
-            factor = float(match.group("factor"))
+            scale = _rule_number(rule, match.group("factor"))
             if match.group("op") == "/":
-                if factor == 0.0:
+                if scale == 0.0:
                     raise ParameterError(f"constraint {rule!r}: division by zero")
-                scale = 1.0 / factor
-            else:
-                scale = factor
+                scale = finite_real(f"constraint {rule!r}: scale", 1.0 / scale)
         return cls(target=target, source=source, scale=scale, offset_literal=None)
 
     def apply(self, fields: dict[str, float]) -> None:

@@ -212,6 +212,16 @@ def test_optimal_detuning():
         optimal_detuning(float("nan"))
 
 
+@pytest.mark.parametrize("bad", ["a", None, True, float("nan"), float("inf")])
+def test_non_numbers_raise_parameter_error(bad, broad_params):
+    with pytest.raises(ParameterError):
+        optimal_detuning(bad)
+    with pytest.raises(ParameterError):
+        evolve_amplitudes(broad_params, bad, 0.1)
+    with pytest.raises(ParameterError):
+        evolve_amplitudes(broad_params, 5.0, bad)
+
+
 def test_degenerate_chain_raises():
     # kappa = 0 with the exchange tuned to delta = g/2 makes the one-quantum
     # pair singular; the closed form must refuse rather than divide by zero

@@ -180,6 +180,18 @@ def test_sweep_constraint_flag(capsys):
     assert value == pytest.approx(-7.26084917068, abs=1e-6)
 
 
+@pytest.mark.parametrize("rule", [
+    "delta = g_ms * e", "delta = g_ms / .", "delta_m = 1e999", "delta = g_ms * 1e999",
+])
+def test_sweep_rejects_constraint_numbers_that_are_not_finite(capsys, tmp_path, rule):
+    target = tmp_path / "cut.csv"
+    code, out, err = run(capsys, "sweep", "--axis1", "g_ms:1:2:2", "--constraint", rule,
+                         "--quantity", "g2_analytic", "--omega-s", "0.06", "--omega-d", "0.01",
+                         "--out", str(target))
+    assert code == 1 and err.startswith("error:")
+    assert out == "" and not target.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--quantity", "g2_analytic"),                     # no axis
     ("sweep", "--axis1", "delta:1:0:5"),                        # lo >= hi
@@ -416,9 +428,13 @@ def test_append_flag_does_not_carry_into_next_call(capsys, tmp_path):
     assert json.loads(second.read_text())["spec"]["constraints"] == []
 
 
-def test_readme_config_example_runs(capsys, tmp_path, monkeypatch):
+def _readme_block(lang):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    return readme.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_example_runs(capsys, tmp_path, monkeypatch):
+    example = _readme_block("json")
     (tmp_path / "run.json").write_text(example)
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, "sweep", "--config", "run.json")
@@ -427,6 +443,14 @@ def test_readme_config_example_runs(capsys, tmp_path, monkeypatch):
     lines = (tmp_path / out_path).read_text().strip().split("\n")
     assert lines[0] == "delta,log10_g2_numeric,log10_g2_analytic"
     assert len(lines) == 202
+
+
+def test_readme_python_example_runs(capsys):
+    exec(compile(_readme_block("python"), "README.md", "exec"), {})
+    numeric, analytic = (float(v) for v in capsys.readouterr().out.split())
+    # the README point is the bright oracle point of test_lindblad
+    assert numeric == pytest.approx(6.4228867049889608e-8, rel=1e-10)
+    assert analytic == pytest.approx(5.4846741311821754e-8, rel=1e-12)
 
 
 # ------------------------------------------------------------------- misc

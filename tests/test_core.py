@@ -1,9 +1,8 @@
-"""Operator toolbox: basis ordering, ladder algebra, adjoints, expectations, expm."""
+"""Operator toolbox: basis ordering, ladder algebra, projectors, expm."""
 import numpy as np
 import pytest
 
-from mbl.core import (Space, annihilation, dagger, expectation, expm, identity,
-                      ket, projector, qubit_ops, tensor)
+from mbl.core import Space, annihilation, expm, projector, qubit_ops
 from mbl.errors import ParameterError
 from mbl.lindblad import build_liouvillian
 from mbl.sweep import figure_preset
@@ -11,7 +10,6 @@ from mbl.sweep import figure_preset
 
 def test_space_dimensions():
     s = Space(6)
-    assert s.qubit_dim == 2
     assert s.fock_dim == 6
     assert s.total_dim == 12
 
@@ -24,9 +22,8 @@ def test_space_rejects_bad_truncation(bad):
 
 def test_index_levels_roundtrip():
     s = Space(5)
-    for k in range(s.total_dim):
-        q, n = s.levels(k)
-        assert s.index(q, n) == k
+    flat = [s.index(q, n) for q in (0, 1) for n in range(s.fock_dim)]
+    assert flat == list(range(s.total_dim))
     # qubit-major layout: the excited sector starts at fock_dim
     assert s.index(0, 0) == 0
     assert s.index(0, 4) == 4
@@ -42,10 +39,6 @@ def test_index_bounds():
         s.index(0, 4)
     with pytest.raises(ParameterError):
         s.index(-1, 1)
-    with pytest.raises(ParameterError):
-        s.levels(8)
-    with pytest.raises(ParameterError):
-        s.levels(-1)
 
 
 def test_annihilation_matrix_elements():
@@ -73,8 +66,8 @@ def test_truncated_commutator():
     # [m, m+] = 1 everywhere except the top rung, which picks up -N
     s = Space(6)
     m = annihilation(s)
-    md = dagger(m)
-    defect = m @ md - md @ m - identity(s)
+    md = m.conj().T
+    defect = m @ md - md @ m - np.eye(s.total_dim)
     for q in (0, 1):
         top = s.index(q, 5)
         assert defect[top, top] == pytest.approx(-6.0)
@@ -84,72 +77,39 @@ def test_truncated_commutator():
 
 def test_qubit_ops_algebra():
     s = Space(4)
-    sm, sp, sz, sx = qubit_ops(s)
-    eye = identity(s)
+    sm, sp, sx = qubit_ops(s)
+    eye = np.eye(s.total_dim)
     assert np.allclose(sp @ sm + sm @ sp, eye)
     assert np.allclose(sx @ sx, eye)
-    assert np.allclose(dagger(sm), sp)
-    # sz eigenvalues are +-1, each with multiplicity fock_dim
-    vals = np.sort(np.linalg.eigvalsh(sz))
+    assert np.allclose(sm.conj().T, sp)
+    # [sp, sm] has eigenvalues +-1, each with multiplicity fock_dim
+    vals = np.sort(np.linalg.eigvalsh(sp @ sm - sm @ sp))
     assert np.allclose(vals[:4], -1.0)
     assert np.allclose(vals[4:], 1.0)
 
 
 def test_qubit_lowering_action():
     s = Space(3)
-    sm, sp, _, _ = qubit_ops(s)
-    excited = ket(s, 1, 2)
-    ground = ket(s, 0, 2)
-    assert np.allclose(sm @ excited, ground)
+    sm, sp, _ = qubit_ops(s)
+    excited = projector(s, 1, 2)
+    ground = projector(s, 0, 2)
+    assert np.allclose(sm @ excited @ sp, ground)
     assert np.allclose(sm @ ground, 0.0)
-    assert np.allclose(sp @ ground, excited)
-
-
-def test_dagger():
-    rng = np.random.default_rng(20240817)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.array_equal(dagger(dagger(a)), a)
-    assert np.allclose(dagger(a @ b), dagger(b) @ dagger(a))
-    with pytest.raises(ValueError):
-        dagger(np.ones(3))
-
-
-def test_tensor():
-    a = np.array([[0, 1], [0, 0]], dtype=complex)
-    eye3 = np.eye(3, dtype=complex)
-    out = tensor(a, eye3)
-    assert out.shape == (6, 6)
-    assert np.array_equal(out, np.kron(a, eye3))
-    with pytest.raises(ValueError):
-        tensor(a, np.ones(3))
+    assert np.allclose(sp @ ground @ sm, excited)
 
 
 def test_ket_and_projector():
     s = Space(3)
-    v = ket(s, 1, 2)
-    assert v.shape == (6,)
-    assert v[s.index(1, 2)] == 1.0
-    assert np.count_nonzero(v) == 1
     p = projector(s, 1, 2)
-    assert np.array_equal(p, np.outer(v, v.conj()))
+    k = s.index(1, 2)
+    assert p.shape == (6, 6)
+    # projects onto the one-hot basis ket at index(1, 2)
+    assert p[k, k] == 1.0
+    assert np.count_nonzero(p) == 1
     assert np.trace(p) == pytest.approx(1.0)
     assert np.allclose(p @ p, p)
-
-
-def test_expectation():
-    s = Space(4)
-    m = annihilation(s)
-    number = dagger(m) @ m
-    rho1 = projector(s, 0, 1)
-    rho2 = projector(s, 0, 2)
-    assert expectation(number, rho1) == pytest.approx(1.0)
-    assert expectation(number, rho2) == pytest.approx(2.0)
-    mixed = 0.5 * rho1 + 0.5 * rho2
-    assert expectation(identity(s), mixed) == pytest.approx(1.0)
-    assert expectation(number, mixed) == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        expectation(number, np.eye(3))
+    with pytest.raises(ParameterError):
+        projector(s, 0, 3)
 
 
 def test_expm_of_zero_is_identity():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from mbl.core import Space, annihilation, dagger, ket, projector, qubit_ops
+from mbl.core import Space, annihilation, projector, qubit_ops
 from mbl.errors import NumericalError, ParameterError
 from mbl.lindblad import (build_liouvillian, density_diagnostics,
                           dissipator_superop, evolve, fock_populations,
@@ -56,8 +56,8 @@ def test_liouvillian_preserves_trace(kw):
 def _reference_build(params, space):
     """Direct build: every operator product and Kronecker product formed anew."""
     m = annihilation(space)
-    md = dagger(m)
-    sm, sp, _, sx = qubit_ops(space)
+    md = m.conj().T
+    sm, sp, sx = qubit_ops(space)
     h = (params.delta_m * (md @ m) + params.delta_s * (sp @ sm)
          + 0.5 * params.coupling * (m @ sp + md @ sm)
          + params.omega_d * (md + m))
@@ -159,6 +159,28 @@ def test_steady_state_rejects_singular():
         steady_state(np.zeros((16, 16), dtype=complex))
     with pytest.raises(ValueError):
         steady_state(np.zeros((5, 5), dtype=complex))
+
+
+# g2 from a 40-digit mpmath LU solve (mp.dps = 40) of the same double-precision
+# Liouvillian with its first row traded for the trace row, as `steady_state` does;
+# so each budget measures solver error only. Frozen here; mpmath is not a test
+# dependency. A budget may be tightened, never loosened.
+G2_ORACLE_POINTS = {
+    "bright": (dict(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_s=0.06, omega_d=0.01,
+                    kappa_m=0.15, kappa_s=0.15), 6.4228867049889608e-8, 1e-10),
+    "fig3a_cell": (dict(delta_m=6.2, delta_s=6.2, g_ms=2.75, omega_s=0.06, omega_d=0.01,
+                        kappa_m=1.0, kappa_s=1.0), 0.76947656631968584, 1e-6),
+    "fig9b_strong": (dict(scenario="B", g_ms_tilde=50.1, delta_m=25.05, delta_s=25.05,
+                          omega_d=0.6, kappa_m=0.05, kappa_s=0.05), 0.020407177037952494, 1e-14),
+}
+
+
+@pytest.mark.parametrize("point", sorted(G2_ORACLE_POINTS))
+def test_g2_matches_oracle(point):
+    kw, oracle, budget = G2_ORACLE_POINTS[point]
+    p = SystemParams(**kw)
+    g2 = g2_zero(steady_state(build_liouvillian(p)), p.space())
+    assert abs(g2 - oracle) <= budget * oracle
 
 
 def test_driven_oscillator_occupation():

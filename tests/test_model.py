@@ -1,12 +1,11 @@
-"""Parameter container, frame conversion, Hamiltonians, dressed levels."""
+"""Parameter container, Hamiltonians, dressed levels."""
 import numpy as np
 import pytest
 
-from mbl.core import Space, annihilation, dagger, qubit_ops
+from mbl.core import Space, annihilation, qubit_ops
 from mbl.errors import ParameterError
-from mbl.model import (DressedLevel, LabFrameParams, SystemParams,
-                       build_h_eff, build_h_nonhermitian, dressed_spectrum,
-                       lab_to_detunings, level_table)
+from mbl.model import (SystemParams, build_h_eff,
+                       build_h_nonhermitian, dressed_spectrum)
 
 
 # ---------------------------------------------------------------- parameters
@@ -78,28 +77,6 @@ def test_space_matches_fock_dim():
     assert p.space().total_dim == 18
 
 
-# ------------------------------------------------------------ lab frame
-
-def test_lab_to_detunings_scenario_a():
-    lab = LabFrameParams(omega_m=9800.0, e_z=9800.0, k_0=0.0,
-                         omega_d=9790.2, omega_s=9790.2)
-    p = lab_to_detunings(lab)
-    assert p == pytest.approx((9.8, 9.8))
-
-
-def test_lab_to_detunings_scenario_b():
-    lab = LabFrameParams(omega_m=5000.0, e_z=0.0, k_0=5025.05,
-                         omega_d=4974.95, omega_s=0.0)
-    dm, ds = lab_to_detunings(lab, scenario="B")
-    assert dm == pytest.approx(25.05)
-    assert ds == pytest.approx(50.1)  # k_0 - omega_d
-
-def test_lab_to_detunings_resonance():
-    lab = LabFrameParams(omega_m=100.0, e_z=100.0, k_0=0.0,
-                         omega_d=100.0, omega_s=100.0)
-    assert lab_to_detunings(lab) == pytest.approx((0.0, 0.0))
-
-
 # ------------------------------------------------------------ hamiltonians
 
 def test_h_eff_zero_params_is_zero():
@@ -111,7 +88,7 @@ def test_h_eff_hermitian():
     p = SystemParams(delta_m=9.8, delta_s=9.8, g_ms=19.6,
                      omega_s=0.06, omega_d=0.01)
     h = build_h_eff(p)
-    assert np.max(np.abs(h - dagger(h))) < 1e-12
+    assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
 def test_h_eff_single_excitation_block():
@@ -162,7 +139,7 @@ def test_h_nonhermitian():
     e1 = s.index(1, 1)
     assert hn[e1, e1] == pytest.approx(9.8 + 9.8 - 0.15j, abs=1e-12)
     # absorbing part only: anti-hermitian component is negative semidefinite
-    anti = (hn - dagger(hn)) / 2j
+    anti = (hn - hn.conj().T) / 2j
     assert np.max(np.linalg.eigvalsh(anti)) < 1e-12
     # zero linewidth collapses to the hermitian generator
     p0 = p.replace(kappa_m=0.0, kappa_s=0.0)
@@ -210,9 +187,10 @@ def test_dressed_matches_block_diagonalization():
     omega_m, omega_q, g = 5.3, 4.9, 2.2
     s = Space(8)
     m = annihilation(s)
-    sm, sp, _, _ = qubit_ops(s)
-    h = (omega_m * dagger(m) @ m + omega_q * sp @ sm
-         + g / 2 * (m @ sp + dagger(m) @ sm))
+    sm, sp, _ = qubit_ops(s)
+    md = m.conj().T
+    h = (omega_m * md @ m + omega_q * sp @ sm
+         + g / 2 * (m @ sp + md @ sm))
     vals = np.sort(np.linalg.eigvalsh(h))
     predicted = sorted(lv.energy for lv in dressed_spectrum(omega_m, omega_q, g, 3))
     # skip the zero ground level, compare the three lowest doublets
@@ -237,11 +215,3 @@ def test_dressed_validation():
     with pytest.raises(ParameterError):
         dressed_spectrum(float("nan"), 1.0, 0.5, 2)
 
-
-def test_level_table():
-    levels = dressed_spectrum(7.0, 7.0, 2.0, n_max=2)
-    table = level_table(levels)
-    assert table.shape == (4, 5)
-    assert np.array_equal(table[:, 0], [1, 1, 2, 2])
-    assert np.array_equal(table[:, 1], [-1, 1, -1, 1])
-    assert table[0, 2] == pytest.approx(levels[0].energy)

@@ -67,6 +67,7 @@ def test_constraint_literal():
 @pytest.mark.parametrize("rule", [
     "delta == g_ms", "delta = g_ms/0", "delta = nonsense/2",
     "bogus = g_ms", "delta = g_ms * ", "= 3",
+    "delta = g_ms / 5e-324",  # the reciprocal overflows to inf
 ])
 def test_constraint_rejects_bad_rules(rule):
     with pytest.raises(ParameterError):

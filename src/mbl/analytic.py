@@ -69,8 +69,9 @@ def reduced_matrix(params: SystemParams) -> np.ndarray:
     as driven only from below, so rows 1-2 keep no couplings to states 3-4.
     """
     _require_scenario_a(params, "the reduced amplitude system")
-    space = Space(max(3, params.fock_dim))
-    h = build_h_nonhermitian(params, space)
+    # the five retained states hold at most two quanta, so three levels suffice
+    space = Space(3)
+    h = build_h_nonhermitian(params.replace(fock_dim=3))
     idx = [space.index(q, n) for q, n in STATE_ORDER]
     m = h[np.ix_(idx, idx)].copy()
     m[1:3, 3:5] = 0.0

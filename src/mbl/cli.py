@@ -29,7 +29,7 @@ from .lindblad import (
     steady_state,
     vectorize,
 )
-from .model import SWEEPABLE_FIELDS, SystemParams, dressed_spectrum, finite_real
+from .model import SCENARIOS, SWEEPABLE_FIELDS, SystemParams, dressed_spectrum, finite_real
 from .output import (
     grid_csv,
     grid_json,
@@ -121,12 +121,12 @@ def _common_parent() -> argparse.ArgumentParser:
     parent = _Parser(add_help=False)
     parent.add_argument("--config", default=argparse.SUPPRESS, help="JSON run config; flags override its values")
     parent.add_argument("--out", default=argparse.SUPPRESS, help="output file (default: stdout, or <figure>.<fmt>)")
-    parent.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS, help="output format")
+    parent.add_argument("--format", default=argparse.SUPPRESS, help="output format: csv (default) or json")
     parent.add_argument("--gamma-mhz", type=float, default=argparse.SUPPRESS, help="reference rate in MHz (metadata only)")
     group = parent.add_argument_group("model parameters (units of gamma)")
     for name in (*SWEEPABLE_FIELDS, *AXIS_ALIASES):
         group.add_argument(_flag(name), type=float, default=argparse.SUPPRESS, dest=name)
-    group.add_argument("--scenario", choices=("A", "B"), default=argparse.SUPPRESS)
+    group.add_argument("--scenario", default=argparse.SUPPRESS, help=f"one of {', '.join(SCENARIOS)} (default A)")
     group.add_argument("--fock-dim", type=int, default=argparse.SUPPRESS, dest="fock_dim")
     return parent
 
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[parent], help="grid sweep over one or two parameters")
     p_sweep.add_argument("--axis1", default=argparse.SUPPRESS, help="'name:lo:hi:count' or 'name=v1,v2,...'")
     p_sweep.add_argument("--axis2", default=argparse.SUPPRESS, help="same syntax as --axis1")
-    p_sweep.add_argument("--quantity", choices=QUANTITIES, default=argparse.SUPPRESS)
+    p_sweep.add_argument("--quantity", default=argparse.SUPPRESS, help=f"one of {', '.join(QUANTITIES)} (default g2_numeric)")
     p_sweep.add_argument(
         "--constraint", action="append", default=argparse.SUPPRESS, dest="constraints",
         help="linkage rule like 'delta = g_ms/2' (repeatable)",
@@ -187,7 +187,7 @@ def _axis(raw, which: str) -> SweepAxis:
                 values = [float(v) for v in rest.split(",") if v.strip() != ""]
             except ValueError as exc:
                 raise ParameterError(f"--{which}: bad value list in {raw!r}") from exc
-            return SweepAxis.explicit(name.strip(), values)
+            return SweepAxis(name.strip(), values)
         parts = raw.split(":")
         if len(parts) != 4:
             raise ParameterError(f"--{which}: expected 'name:lo:hi:count' or 'name=v1,v2,...', got {raw!r}")
@@ -203,7 +203,7 @@ def _axis(raw, which: str) -> SweepAxis:
         _check_keys(raw, {"name", "values"}, where, required={"name"})
         if not isinstance(raw["values"], list):
             raise ParameterError(f"{where}: 'values' must be a list")
-        return SweepAxis.explicit(raw["name"], raw["values"])
+        return SweepAxis(raw["name"], raw["values"])
     keys = {"name", "min", "max", "count"}
     _check_keys(raw, keys, where, required=keys)
     return SweepAxis.linspace(raw["name"], raw["min"], raw["max"], raw["count"])
@@ -237,7 +237,7 @@ def _print_mapping(pairs: dict[str, float]) -> None:
 
 def _cmd_steady(opts: dict, params: SystemParams, out: str | None, fmt: str, gamma: float | None) -> int:
     space = params.space()
-    liouv = build_liouvillian(params, space)
+    liouv = build_liouvillian(params)
     rho = steady_state(liouv)
     residual = float(np.max(np.abs(liouv @ vectorize(rho))))
     diag = density_diagnostics(rho)
@@ -294,10 +294,19 @@ def _cmd_spectrum(opts: dict, params: SystemParams, out: str | None, fmt: str, g
     return 0
 
 
+def _run_job(job: SweepSpec | EvolutionJob, out: str | None, fmt: str, gamma: float | None) -> tuple[int, int]:
+    """Run a sweep or an evolution and write its table; returns (points, failed points)."""
+    if isinstance(job, EvolutionJob):
+        series = run_evolution(job)
+        _emit(timeseries_csv(series) if fmt == "csv" else timeseries_json(series, gamma), out)
+        return series.times.size, 0
+    grid = run_sweep(job)
+    _emit(grid_csv(grid) if fmt == "csv" else grid_json(grid, gamma), out)
+    return grid.values.size, len(grid.failures)
+
+
 def _cmd_evolve(opts: dict, params: SystemParams, out: str | None, fmt: str, gamma: float | None) -> int:
-    job = EvolutionJob(base=params, t_end=opts.get("t_end", 100.0), num=opts.get("num", 501))
-    series = run_evolution(job)
-    _emit(timeseries_csv(series) if fmt == "csv" else timeseries_json(series, gamma), out)
+    _run_job(EvolutionJob(base=params, t_end=opts.get("t_end", 100.0), num=opts.get("num", 501)), out, fmt, gamma)
     return 0
 
 
@@ -311,26 +320,19 @@ def _cmd_sweep(opts: dict, params: SystemParams, out: str | None, fmt: str, gamm
         quantity=opts.get("quantity", "g2_numeric"),
         constraints=opts.get("constraints", ()),
     )
-    grid = run_sweep(spec)
-    _emit(grid_csv(grid) if fmt == "csv" else grid_json(grid, gamma), out)
+    _run_job(spec, out, fmt, gamma)
     return 0
 
 
 def _cmd_figure(opts: dict, params: SystemParams, out: str | None, fmt: str, gamma: float | None) -> int:
+    # a preset fixes its own model point; a parameter from a flag or a config key would be ignored
+    overridden = [_flag(name) for name in (*PARAM_FIELDS, *AXIS_ALIASES) if name in opts]
+    if overridden:
+        raise ParameterError(f"figure presets are canonical; parameter(s) {', '.join(overridden)} do not apply")
     name = opts.get("name")
     preset = figure_preset(name)
     out = out if out is not None else f"{name}.{fmt}"
-    if isinstance(preset, EvolutionJob):
-        series = run_evolution(preset)
-        text = timeseries_csv(series) if fmt == "csv" else timeseries_json(series, gamma)
-        n_rows = series.times.size
-        n_failures = 0
-    else:
-        grid = run_sweep(preset)
-        text = grid_csv(grid) if fmt == "csv" else grid_json(grid, gamma)
-        n_rows = grid.values.size
-        n_failures = len(grid.failures)
-    _emit(text, out)
+    n_rows, n_failures = _run_job(preset, out, fmt, gamma)
     print(f"wrote {out} ({n_rows} points, {n_failures} failures)")
     return 0
 
@@ -349,10 +351,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         flags = vars(_parser().parse_args(argv))
         command = flags["command"]
-        if command == "figure":
-            overridden = [_flag(name) for name in (*PARAM_FIELDS, *AXIS_ALIASES) if name in flags]
-            if overridden:
-                raise ParameterError(f"figure presets are canonical; parameter flag(s) {', '.join(overridden)} do not apply")
         # the one place config values and flags meet: a flag wins over its config key
         opts = {**load_config(flags["config"]), **flags} if "config" in flags else flags
         if opts.get("job", command) != command:

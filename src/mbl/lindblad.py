@@ -92,17 +92,16 @@ def _liouvillian_coefficients(params: SystemParams) -> np.ndarray:
     return np.concatenate([hamiltonian_coefficients(params), [loss, gain, 0.5 * params.kappa_s]])
 
 
-def build_liouvillian(params: SystemParams, space: Space | None = None) -> np.ndarray:
+def build_liouvillian(params: SystemParams) -> np.ndarray:
     """Dense generator of the master equation for the given parameters.
 
     Scenario A: oscillator loss at (kappa_m/2)(n_th + 1), oscillator thermal
     excitation at (kappa_m/2) n_th, two-level decay at kappa_s/2.
     Scenario B: the two loss channels only (n_th is not used).
-    The operator terms come from a table cached per `space`; each call
+    The operator terms come from a table cached per truncation; each call
     returns a fresh array.
     """
-    if space is None:
-        space = params.space()
+    space = params.space()
     pattern, values = _liouvillian_terms(space)
     d2 = space.total_dim**2
     liouv = np.zeros((d2, d2), dtype=complex)

@@ -126,7 +126,7 @@ def hamiltonian_coefficients(params: SystemParams) -> np.ndarray:
     return np.array([params.delta_m, params.delta_s, params.coupling, params.omega_d, params.omega_s])
 
 
-def build_h_eff(params: SystemParams, space: Space | None = None) -> np.ndarray:
+def build_h_eff(params: SystemParams) -> np.ndarray:
     """Rotating-frame Hamiltonian on the composite space (dense, Hermitian).
 
     Scenario A:
@@ -134,21 +134,17 @@ def build_h_eff(params: SystemParams, space: Space | None = None) -> np.ndarray:
         + (omega_s/2)(σ₊ + σ₋) + omega_d (m† + m)
     Scenario B drops the direct two-level drive and uses g_ms_tilde.
     """
-    if space is None:
-        space = params.space()
-    return np.tensordot(hamiltonian_coefficients(params), hamiltonian_terms(space), axes=1)
+    return np.tensordot(hamiltonian_coefficients(params), hamiltonian_terms(params.space()), axes=1)
 
 
-def build_h_nonhermitian(params: SystemParams, space: Space | None = None) -> np.ndarray:
+def build_h_nonhermitian(params: SystemParams) -> np.ndarray:
     """Effective non-Hermitian Hamiltonian: decay folded into the energies.
 
     H_eff - i(kappa_m/2) m†m - i(kappa_s/2) σ₊σ₋, from `hamiltonian_terms`. The
     anti-Hermitian part is negative semi-definite, so amplitudes can only lose norm.
     """
-    if space is None:
-        space = params.space()
     damping = np.array([params.kappa_m, params.kappa_s, 0.0, 0.0, 0.0])
-    return np.tensordot(hamiltonian_coefficients(params) - 0.5j * damping, hamiltonian_terms(space), axes=1)
+    return np.tensordot(hamiltonian_coefficients(params) - 0.5j * damping, hamiltonian_terms(params.space()), axes=1)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .analytic import analytic_g2
-from .core import Space, projector
+from .core import projector
 from .errors import NumericalError, ParameterError
 from .lindblad import build_liouvillian, evolve, fock_populations, g2_zero, steady_state
 from .model import SWEEPABLE_FIELDS, SystemParams, finite_real
@@ -62,9 +62,9 @@ class SweepAxis:
 
     def __post_init__(self) -> None:
         _expand_param_name(self.name)
-        if len(self.values) < 1:
-            raise ParameterError(f"axis {self.name!r} needs at least one value")
         object.__setattr__(self, "values", tuple(finite_real(f"axis {self.name!r} value", v) for v in self.values))
+        if not self.values:
+            raise ParameterError(f"axis {self.name!r} needs at least one value")
 
     @classmethod
     def linspace(cls, name: str, lo: float, hi: float, count: int) -> "SweepAxis":
@@ -74,10 +74,6 @@ class SweepAxis:
         if not lo < hi:
             raise ParameterError(f"axis {name!r}: need lo < hi, got [{lo!r}, {hi!r}]")
         return cls(name, tuple(np.linspace(lo, hi, count)))
-
-    @classmethod
-    def explicit(cls, name: str, values: Iterable[float]) -> "SweepAxis":
-        return cls(name, tuple(values))
 
     @property
     def count(self) -> int:
@@ -151,10 +147,15 @@ class SweepSpec:
             raise ParameterError(f"constraints must be a string or a list of strings, got {constraints!r}")
         object.__setattr__(self, "constraints", tuple(constraints))
         object.__setattr__(self, "_rules", tuple(Constraint.parse(rule) for rule in self.constraints))
-        if self.axis2 is not None:
-            overlap = set(_expand_param_name(self.axis1.name)) & set(_expand_param_name(self.axis2.name))
-            if overlap:
-                raise ParameterError(f"axes {self.axis1.name!r} and {self.axis2.name!r} set the same field(s) {sorted(overlap)}")
+        # each grid field has one setter: an axis or a rule, never two of them
+        setters: dict[str, str] = {}
+        targets = [(f"axis {axis.name!r}", axis.name) for axis in (self.axis1, self.axis2) if axis is not None]
+        targets += [(f"constraint {rule!r}", parsed.target) for rule, parsed in zip(self.constraints, self._rules)]
+        for setter, target in targets:
+            for name in _expand_param_name(target):
+                if name in setters:
+                    raise ParameterError(f"field {name!r} is set by both {setters[name]} and {setter}")
+                setters[name] = setter
         if self.quantity in ("g2_analytic", "both_g2") and self.base.scenario != "A":
             raise ParameterError(f"quantity {self.quantity!r} needs the closed-form route, which is scenario A only")
 
@@ -211,7 +212,7 @@ def evaluate_point(params: SystemParams, quantity: str) -> dict[str, float]:
     out: dict[str, float] = {}
     if quantity in ("g2_numeric", "both_g2", "populations"):
         space = params.space()
-        rho = steady_state(build_liouvillian(params, space))
+        rho = steady_state(build_liouvillian(params))
         if quantity == "populations":
             pops = fock_populations(rho, space)
             for k in range(N_POPULATION_COLUMNS):
@@ -292,7 +293,7 @@ class TimeSeries:
 def run_evolution(job: EvolutionJob) -> TimeSeries:
     """Integrate from |lower, 0⟩⟨lower, 0| and track populations and g²(0)."""
     space = job.base.space()
-    liouv = build_liouvillian(job.base, space)
+    liouv = build_liouvillian(job.base)
     times = job.times()
     rhos = evolve(liouv, projector(space, 0, 0), times)
     planes = {f"p{k}": np.empty(times.size) for k in range(N_POPULATION_COLUMNS)}
@@ -309,109 +310,92 @@ def run_evolution(job: EvolutionJob) -> TimeSeries:
     return TimeSeries(times=times, planes=planes)
 
 
-def _fig_common_a(**overrides) -> SystemParams:
-    defaults = dict(scenario="A", fock_dim=6, n_th=0.0)
-    defaults.update(overrides)
-    return SystemParams(**defaults)
-
-
-def _fig_common_b(**overrides) -> SystemParams:
-    defaults = dict(scenario="B", fock_dim=6, n_th=0.0, omega_s=0.0)
-    defaults.update(overrides)
-    return SystemParams(**defaults)
-
-
 _DELTA_AXIS = ("delta", -20.0, 20.0, 201)
 _KAPPA_VALUES = (0.15, 0.3, 0.45, 1.0)
 
+# Each figure's model point is a plain `SystemParams`; fields left out keep their
+# defaults (scenario A, fock_dim 6, n_th 0, and no direct drive in scenario B).
+_PRESETS: dict[str, SweepSpec | EvolutionJob] = {
+    "fig3a": SweepSpec(
+        base=SystemParams(omega_s=0.06, omega_d=0.01, kappa_m=1.0, kappa_s=1.0),
+        axis1=SweepAxis.linspace(*_DELTA_AXIS),
+        axis2=SweepAxis.linspace("g_ms", 0.0, 30.0, 121),
+        quantity="g2_numeric",
+    ),
+    "fig3b": SweepSpec(
+        base=SystemParams(delta_m=9.8, delta_s=9.8, g_ms=19.6, kappa_m=1.0, kappa_s=1.0),
+        axis1=SweepAxis.linspace("omega_s", 0.0, 0.2, 101),
+        axis2=SweepAxis.linspace("omega_d", 0.0, 0.05, 101),
+        quantity="g2_numeric",
+    ),
+    "fig4a": SweepSpec(
+        base=SystemParams(omega_s=0.06, omega_d=0.01),
+        axis1=SweepAxis.linspace("g_ms", 0.0, 30.0, 121),
+        axis2=SweepAxis.linspace("kappa", 0.05, 1.5, 59),
+        quantity="g2_numeric",
+        constraints=("delta = g_ms/2",),
+    ),
+    "fig4b": SweepSpec(
+        base=SystemParams(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_d=0.01),
+        axis1=SweepAxis.linspace("omega_s", 0.0, 0.2, 101),
+        axis2=SweepAxis.linspace("kappa", 0.05, 1.5, 59),
+        quantity="g2_numeric",
+    ),
+    "fig5a": SweepSpec(
+        base=SystemParams(g_ms=19.6, omega_s=0.06, kappa_m=0.15, kappa_s=0.15),
+        axis1=SweepAxis.linspace(*_DELTA_AXIS),
+        axis2=SweepAxis("omega_d", (0.004, 0.01, 0.012)),
+        quantity="both_g2",
+    ),
+    "fig5b": SweepSpec(
+        base=SystemParams(g_ms=19.6, omega_d=0.01, kappa_m=0.15, kappa_s=0.15),
+        axis1=SweepAxis.linspace(*_DELTA_AXIS),
+        axis2=SweepAxis("omega_s", (0.001, 0.05, 0.09)),
+        quantity="both_g2",
+    ),
+    "fig6a": SweepSpec(
+        base=SystemParams(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_d=0.01),
+        axis1=SweepAxis.linspace("omega_s", 0.0, 0.2, 101),
+        axis2=SweepAxis("kappa", _KAPPA_VALUES),
+        quantity="g2_numeric",
+    ),
+    "fig6b": SweepSpec(
+        base=SystemParams(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_s=0.06),
+        axis1=SweepAxis.linspace("omega_d", 0.0, 0.05, 101),
+        axis2=SweepAxis("kappa", _KAPPA_VALUES),
+        quantity="g2_numeric",
+    ),
+    "fig7": EvolutionJob(
+        base=SystemParams(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_s=0.06, omega_d=0.01, kappa_m=0.15, kappa_s=0.15),
+        t_end=100.0,
+        num=1001,
+    ),
+    "fig8": SweepSpec(
+        base=SystemParams(scenario="B", omega_d=0.01, kappa_m=1.0, kappa_s=1.0),
+        axis1=SweepAxis.linspace("delta", -40.0, 40.0, 201),
+        axis2=SweepAxis.linspace("g_ms_tilde", 0.0, 60.0, 121),
+        quantity="g2_numeric",
+    ),
+    "fig9a": SweepSpec(
+        base=SystemParams(scenario="B", omega_d=0.01),
+        axis1=SweepAxis.linspace("g_ms_tilde", 0.0, 60.0, 121),
+        axis2=SweepAxis.linspace("kappa", 0.05, 1.5, 59),
+        quantity="g2_numeric",
+        constraints=("delta = g_ms_tilde/2",),
+    ),
+    "fig9b": SweepSpec(
+        base=SystemParams(scenario="B", g_ms_tilde=50.1, delta_m=25.05, delta_s=25.05),
+        axis1=SweepAxis("omega_d", tuple(np.geomspace(0.001, 0.6, 57))),
+        axis2=SweepAxis.linspace("kappa", 0.05, 1.5, 59),
+        quantity="g2_numeric",
+    ),
+}
 
-def _presets() -> dict[str, SweepSpec | EvolutionJob]:
-    line = SweepAxis.linspace
-    pick = SweepAxis.explicit
-    return {
-        "fig3a": SweepSpec(
-            base=_fig_common_a(omega_s=0.06, omega_d=0.01, kappa_m=1.0, kappa_s=1.0),
-            axis1=line(*_DELTA_AXIS),
-            axis2=line("g_ms", 0.0, 30.0, 121),
-            quantity="g2_numeric",
-        ),
-        "fig3b": SweepSpec(
-            base=_fig_common_a(delta_m=9.8, delta_s=9.8, g_ms=19.6, kappa_m=1.0, kappa_s=1.0),
-            axis1=line("omega_s", 0.0, 0.2, 101),
-            axis2=line("omega_d", 0.0, 0.05, 101),
-            quantity="g2_numeric",
-        ),
-        "fig4a": SweepSpec(
-            base=_fig_common_a(omega_s=0.06, omega_d=0.01),
-            axis1=line("g_ms", 0.0, 30.0, 121),
-            axis2=line("kappa", 0.05, 1.5, 59),
-            quantity="g2_numeric",
-            constraints=("delta = g_ms/2",),
-        ),
-        "fig4b": SweepSpec(
-            base=_fig_common_a(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_d=0.01),
-            axis1=line("omega_s", 0.0, 0.2, 101),
-            axis2=line("kappa", 0.05, 1.5, 59),
-            quantity="g2_numeric",
-        ),
-        "fig5a": SweepSpec(
-            base=_fig_common_a(g_ms=19.6, omega_s=0.06, kappa_m=0.15, kappa_s=0.15),
-            axis1=line(*_DELTA_AXIS),
-            axis2=pick("omega_d", (0.004, 0.01, 0.012)),
-            quantity="both_g2",
-        ),
-        "fig5b": SweepSpec(
-            base=_fig_common_a(g_ms=19.6, omega_d=0.01, kappa_m=0.15, kappa_s=0.15),
-            axis1=line(*_DELTA_AXIS),
-            axis2=pick("omega_s", (0.001, 0.05, 0.09)),
-            quantity="both_g2",
-        ),
-        "fig6a": SweepSpec(
-            base=_fig_common_a(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_d=0.01),
-            axis1=line("omega_s", 0.0, 0.2, 101),
-            axis2=pick("kappa", _KAPPA_VALUES),
-            quantity="g2_numeric",
-        ),
-        "fig6b": SweepSpec(
-            base=_fig_common_a(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_s=0.06),
-            axis1=line("omega_d", 0.0, 0.05, 101),
-            axis2=pick("kappa", _KAPPA_VALUES),
-            quantity="g2_numeric",
-        ),
-        "fig7": EvolutionJob(
-            base=_fig_common_a(
-                delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_s=0.06, omega_d=0.01, kappa_m=0.15, kappa_s=0.15
-            ),
-            t_end=100.0,
-            num=1001,
-        ),
-        "fig8": SweepSpec(
-            base=_fig_common_b(omega_d=0.01, kappa_m=1.0, kappa_s=1.0),
-            axis1=line("delta", -40.0, 40.0, 201),
-            axis2=line("g_ms_tilde", 0.0, 60.0, 121),
-            quantity="g2_numeric",
-        ),
-        "fig9a": SweepSpec(
-            base=_fig_common_b(omega_d=0.01),
-            axis1=line("g_ms_tilde", 0.0, 60.0, 121),
-            axis2=line("kappa", 0.05, 1.5, 59),
-            quantity="g2_numeric",
-            constraints=("delta = g_ms_tilde/2",),
-        ),
-        "fig9b": SweepSpec(
-            base=_fig_common_b(g_ms_tilde=50.1, delta_m=25.05, delta_s=25.05),
-            axis1=pick("omega_d", tuple(np.geomspace(0.001, 0.6, 57))),
-            axis2=line("kappa", 0.05, 1.5, 59),
-            quantity="g2_numeric",
-        ),
-    }
-
-
-FIGURE_NAMES = tuple(sorted(_presets()))
+FIGURE_NAMES = tuple(sorted(_PRESETS))
 
 
 def figure_preset(name: str) -> SweepSpec | EvolutionJob:
     """Sweep (or evolution) behind one of the bundled figure presets."""
     if name not in FIGURE_NAMES:
         raise ParameterError(f"unknown figure {name!r}; available: {', '.join(FIGURE_NAMES)}")
-    return _presets()[name]
+    return _PRESETS[name]

@@ -310,7 +310,7 @@ def test_thermal_fixed_point(acceptance_log):
     """A drive-free mode in a warm bath settles at the bath occupation."""
     p = SystemParams(n_th=0.5, fock_dim=16)
     s = p.space()
-    rho = steady_state(build_liouvillian(p, s))
+    rho = steady_state(build_liouvillian(p))
     occupation = mean_occupation(rho, s)
     assert abs(occupation - 0.5) < 1e-6
     acceptance_log(

@@ -2,6 +2,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -205,6 +206,17 @@ def test_sweep_rejects_bad_requests(capsys, argv):
     assert "error:" in err
 
 
+def test_sweep_rejects_a_rule_on_an_axis_field(capsys, tmp_path):
+    # the rule would overwrite the axis, so every row would hold the same g2
+    # under a delta column of values that were never computed
+    target = tmp_path / "cut.csv"
+    code, out, err = run(capsys, "sweep", "--axis1", "delta:-4:4:5", "--constraint", "delta = g_ms/2",
+                         "--g-ms", "19.6", "--omega-s", "0.06", "--omega-d", "0.01", "--kappa", "0.15",
+                         "--quantity", "g2_analytic", "--out", str(target))
+    assert code == 1 and out == "" and not target.exists()
+    assert err == "error: field 'delta_m' is set by both axis 'delta' and constraint 'delta = g_ms/2'\n"
+
+
 def test_sweep_gamma_metadata(capsys, tmp_path):
     target = tmp_path / "grid.json"
     code, _, _ = run(capsys, "sweep", "--axis1", "delta=5.0", "--quantity",
@@ -260,6 +272,15 @@ def test_figure_rejects_parameter_flags(capsys):
     code, _, err = run(capsys, "figure", "fig5a", "--delta", "3.0")
     assert code == 1
     assert "canonical" in err
+
+
+def test_figure_rejects_config_parameters(capsys, tmp_path):
+    target = tmp_path / "fig6b.csv"
+    cfg = _write_config(tmp_path, {"job": "figure", "figure": "fig6b", "params": {"kappa_m": 5.0},
+                                   "output": {"path": str(target)}})
+    code, out, err = run(capsys, "figure", "--config", cfg)
+    assert code == 1 and out == "" and not target.exists()
+    assert err == "error: figure presets are canonical; parameter(s) --kappa-m do not apply\n"
 
 
 def test_figure_requires_a_name(capsys):
@@ -403,6 +424,18 @@ def test_config_rejects_malformed_values(capsys, tmp_path, command, doc):
     assert out == ""  # rejected before any numerics ran
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (("steady", "--format", "xml"), {"output": {"format": "xml"}}),
+    (("steady", "--scenario", "C"), {"params": {"scenario": "C"}}),
+    (("sweep", "--axis1", "delta=1", "--quantity", "bogus"), {"sweep": {"axis1": "delta=1", "quantity": "bogus"}}),
+], ids=["format", "scenario", "quantity"])
+def test_flag_and_config_values_share_one_check(capsys, tmp_path, argv, doc):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error:") and out == ""
+    cfg = _write_config(tmp_path, {"job": argv[0], **doc})
+    assert run(capsys, argv[0], "--config", cfg) == (1, "", err)
+
+
 def test_config_output_path_must_be_a_string(capsys, tmp_path):
     cfg = _write_config(tmp_path, {"output": {"path": 5}})
     code, out, err = run(capsys, "steady", *BRIGHT, "--config", cfg)
@@ -428,9 +461,22 @@ def test_append_flag_does_not_carry_into_next_call(capsys, tmp_path):
     assert json.loads(second.read_text())["spec"]["constraints"] == []
 
 
-def _readme_block(lang):
+def _readme_block(lang, section=""):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = readme.split(f"## {section}\n", 1)[1] if section else readme
     return readme.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_command_line_block_runs(capsys, tmp_path, monkeypatch):
+    block = _readme_block("sh", "Command line").replace("\\\n", " ")
+    commands = [line for line in block.split("\n") if line.startswith("mbl ")]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        code, _, err = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, f"{line}: {err}"
+    for name in ("cut.csv", "fig5a.csv", "path.csv"):
+        assert (tmp_path / name).exists()
 
 
 def test_readme_config_example_runs(capsys, tmp_path, monkeypatch):

@@ -91,7 +91,7 @@ def test_term_table_matches_direct_build(scenario, thermal, fock_dim):
         p = SystemParams(**kw)
         s = p.space()
         h_ref, liouv_ref = _reference_build(p, s)
-        h, liouv = build_h_eff(p, s), build_liouvillian(p, s)
+        h, liouv = build_h_eff(p), build_liouvillian(p)
         assert np.max(np.abs(h - h_ref)) <= 1e-13 * np.max(np.abs(h_ref))
         assert np.max(np.abs(liouv - liouv_ref)) <= 1e-13 * np.max(np.abs(liouv_ref))
         trace_row = vectorize(np.eye(s.total_dim, dtype=complex))
@@ -99,27 +99,26 @@ def test_term_table_matches_direct_build(scenario, thermal, fock_dim):
 
 
 def test_builds_return_fresh_arrays(broad_params):
-    s = broad_params.space()
-    h, liouv = build_h_eff(broad_params, s), build_liouvillian(broad_params, s)
+    h, liouv = build_h_eff(broad_params), build_liouvillian(broad_params)
     h_want, liouv_want = h.copy(), liouv.copy()
     h[:] = 7.0
     liouv[:] = 7.0
-    assert np.array_equal(build_h_eff(broad_params, s), h_want)
-    assert np.array_equal(build_liouvillian(broad_params, s), liouv_want)
+    assert np.array_equal(build_h_eff(broad_params), h_want)
+    assert np.array_equal(build_liouvillian(broad_params), liouv_want)
 
 
 def test_single_quantum_decay_rates():
     # pure loss: d/dt |g,1><g,1| = kappa_m (P_g0 - P_g1)
     p = SystemParams(kappa_m=0.4, kappa_s=0.0, fock_dim=3)
     s = p.space()
-    liouv = build_liouvillian(p, s)
+    liouv = build_liouvillian(p)
     rho = projector(s, 0, 1)
     drho = unvectorize(liouv @ vectorize(rho), s.total_dim)
     want = 0.4 * (projector(s, 0, 0) - projector(s, 0, 1))
     assert np.allclose(drho, want, atol=1e-14)
     # excited qubit decays at kappa_s
     p2 = SystemParams(kappa_m=0.0, kappa_s=0.3, fock_dim=3)
-    liouv2 = build_liouvillian(p2, s)
+    liouv2 = build_liouvillian(p2)
     rho2 = projector(s, 1, 0)
     drho2 = unvectorize(liouv2 @ vectorize(rho2), s.total_dim)
     want2 = 0.3 * (projector(s, 0, 0) - projector(s, 1, 0))
@@ -138,13 +137,13 @@ def test_spectrum_has_unique_kernel(broad_params):
 def test_steady_state_dark_without_drive():
     p = SystemParams(delta_m=2.0, delta_s=2.0, g_ms=4.0)
     s = p.space()
-    rho = steady_state(build_liouvillian(p, s))
+    rho = steady_state(build_liouvillian(p))
     assert np.max(np.abs(rho - projector(s, 0, 0))) < 1e-10
 
 
 def test_steady_state_validity(broad_params):
     s = broad_params.space()
-    liouv = build_liouvillian(broad_params, s)
+    liouv = build_liouvillian(broad_params)
     rho = steady_state(liouv)
     diag = density_diagnostics(rho)
     assert diag["trace_real"] == pytest.approx(1.0, abs=1e-10)
@@ -172,6 +171,11 @@ G2_ORACLE_POINTS = {
                         kappa_m=1.0, kappa_s=1.0), 0.76947656631968584, 1e-6),
     "fig9b_strong": (dict(scenario="B", g_ms_tilde=50.1, delta_m=25.05, delta_s=25.05,
                           omega_d=0.6, kappa_m=0.05, kappa_s=0.05), 0.020407177037952494, 1e-14),
+    # the first nonzero drives of the fig3b grid
+    "fig3b_weak": (dict(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_s=0.002, omega_d=0.0005,
+                        kappa_m=1.0, kappa_s=1.0), 0.010574387827523629165, 3e-14),
+    "bright_thermal": (dict(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_s=0.06, omega_d=0.01,
+                            kappa_m=0.15, kappa_s=0.15, n_th=0.1), 2.3545885141369593845, 1e-14),
 }
 
 
@@ -189,7 +193,7 @@ def test_driven_oscillator_occupation():
         p = SystemParams(delta_m=delta, delta_s=0.0, omega_d=om_d,
                          kappa_m=kappa, kappa_s=1.0, fock_dim=8)
         s = p.space()
-        rho = steady_state(build_liouvillian(p, s))
+        rho = steady_state(build_liouvillian(p))
         want = om_d ** 2 / (delta ** 2 + kappa ** 2 / 4)
         assert mean_occupation(rho, s) == pytest.approx(want, rel=1e-8)
 
@@ -197,7 +201,7 @@ def test_driven_oscillator_occupation():
 def test_thermal_occupation():
     p = SystemParams(n_th=0.2, kappa_s=0.0, fock_dim=20)
     s = p.space()
-    rho = steady_state(build_liouvillian(p, s))
+    rho = steady_state(build_liouvillian(p))
     assert mean_occupation(rho, s) == pytest.approx(0.2, abs=1e-8)
     # thermal light bunches: g2 = 2
     assert g2_zero(rho, s) == pytest.approx(2.0, abs=1e-6)
@@ -205,7 +209,7 @@ def test_thermal_occupation():
 
 def test_evolve_matches_steady_state(broad_params):
     s = broad_params.space()
-    liouv = build_liouvillian(broad_params, s)
+    liouv = build_liouvillian(broad_params)
     rho0 = projector(s, 0, 0)
     path = evolve(liouv, rho0, np.array([0.0, 200.0]))
     target = steady_state(liouv)
@@ -215,7 +219,7 @@ def test_evolve_matches_steady_state(broad_params):
 
 def test_evolve_basics(broad_params):
     s = broad_params.space()
-    liouv = build_liouvillian(broad_params, s)
+    liouv = build_liouvillian(broad_params)
     rho0 = projector(s, 0, 0)
     times = np.linspace(0.0, 5.0, 11)
     path = evolve(liouv, rho0, times)
@@ -258,7 +262,7 @@ def test_evolve_matches_oracle():
     p = SystemParams(**EVOLVE_ORACLE_PARAMS)
     s = p.space()
     times = np.array([0.0, 0.5, 2.0])
-    path = evolve(build_liouvillian(p, s), projector(s, 0, 0), times)
+    path = evolve(build_liouvillian(p), projector(s, 0, 0), times)
     for rho, t in zip(path[1:], times[1:]):
         diag, coherences = EVOLVE_ORACLE[t]
         assert np.max(np.abs(np.diagonal(rho) - diag)) < 1e-13
@@ -278,7 +282,7 @@ def test_evolve_single_time_returns_copy():
 
 def test_evolve_validates_times(broad_params):
     s = broad_params.space()
-    liouv = build_liouvillian(broad_params, s)
+    liouv = build_liouvillian(broad_params)
     rho0 = projector(s, 0, 0)
     with pytest.raises(ParameterError):
         evolve(liouv, rho0, np.array([]))
@@ -304,7 +308,7 @@ def test_g2_zero_coherent_state():
     p = SystemParams(delta_m=0.0, omega_d=0.05, kappa_m=1.0, kappa_s=1.0,
                      fock_dim=8)
     s = p.space()
-    rho = steady_state(build_liouvillian(p, s))
+    rho = steady_state(build_liouvillian(p))
     assert g2_zero(rho, s) == pytest.approx(1.0, abs=1e-6)
 
 

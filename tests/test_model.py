@@ -97,7 +97,7 @@ def test_h_eff_single_excitation_block():
     g = 19.6
     p = SystemParams(delta_m=g / 2, delta_s=g / 2, g_ms=g)
     s = p.space()
-    h = build_h_eff(p, s)
+    h = build_h_eff(p)
     idx = [s.index(0, 1), s.index(1, 0)]
     block = h[np.ix_(idx, idx)]
     vals = np.sort(np.linalg.eigvalsh(block))
@@ -108,7 +108,7 @@ def test_h_eff_drive_entries():
     p = SystemParams(delta_m=2.0, delta_s=3.0, g_ms=5.0,
                      omega_s=0.06, omega_d=0.01)
     s = p.space()
-    h = build_h_eff(p, s)
+    h = build_h_eff(p)
     g0, g1, e0, e1 = (s.index(0, 0), s.index(0, 1),
                       s.index(1, 0), s.index(1, 1))
     assert h[g0, g1] == pytest.approx(0.01)       # mode drive
@@ -123,7 +123,7 @@ def test_h_eff_scenario_b():
     p = SystemParams(delta_m=25.05, delta_s=50.1, g_ms_tilde=50.1,
                      omega_d=0.01, scenario="B")
     s = p.space()
-    h = build_h_eff(p, s)
+    h = build_h_eff(p)
     g0, g1, e0 = s.index(0, 0), s.index(0, 1), s.index(1, 0)
     assert h[g0, e0] == 0.0            # no direct qubit drive
     assert h[g1, e0] == pytest.approx(25.05)   # g_tilde / 2
@@ -134,8 +134,8 @@ def test_h_nonhermitian():
     p = SystemParams(delta_m=9.8, delta_s=9.8, g_ms=19.6,
                      omega_s=0.06, omega_d=0.01, kappa_m=0.15, kappa_s=0.15)
     s = p.space()
-    hn = build_h_nonhermitian(p, s)
-    he = build_h_eff(p, s)
+    hn = build_h_nonhermitian(p)
+    he = build_h_eff(p)
     e1 = s.index(1, 1)
     assert hn[e1, e1] == pytest.approx(9.8 + 9.8 - 0.15j, abs=1e-12)
     # absorbing part only: anti-hermitian component is negative semidefinite
@@ -143,7 +143,7 @@ def test_h_nonhermitian():
     assert np.max(np.linalg.eigvalsh(anti)) < 1e-12
     # zero linewidth collapses to the hermitian generator
     p0 = p.replace(kappa_m=0.0, kappa_s=0.0)
-    assert np.array_equal(build_h_nonhermitian(p0, s), he)
+    assert np.array_equal(build_h_nonhermitian(p0), he)
 
 
 # ------------------------------------------------------------ dressed levels

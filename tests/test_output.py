@@ -17,8 +17,8 @@ def _demo_grid():
     spec = SweepSpec(
         base=SystemParams(g_ms=19.6, omega_s=0.06, omega_d=0.01,
                           kappa_m=0.15, kappa_s=0.15),
-        axis1=SweepAxis.explicit("delta", [-9.8, 9.8]),
-        axis2=SweepAxis.explicit("omega_d", [0.004, 0.01, 0.012]),
+        axis1=SweepAxis("delta", [-9.8, 9.8]),
+        axis2=SweepAxis("omega_d", [0.004, 0.01, 0.012]),
         quantity="both_g2",
     )
     num = np.array([[1e-3, 1e-4, np.nan], [1e-7, 1e-6, 1e-5]])
@@ -56,7 +56,7 @@ def test_grid_csv_layout():
 def test_grid_csv_one_axis():
     spec = SweepSpec(
         base=SystemParams(g_ms=19.6, omega_s=0.06, omega_d=0.01),
-        axis1=SweepAxis.explicit("delta", [1.0, 2.0]),
+        axis1=SweepAxis("delta", [1.0, 2.0]),
         quantity="populations",
     )
     planes = {f"p{k}": np.array([[0.1 * (k + 1)], [0.2 * (k + 1)]])
@@ -138,7 +138,7 @@ def test_write_text_lf_bytes(tmp_path):
 
 def test_csv_runs_are_byte_identical(broad_params):
     spec = SweepSpec(base=broad_params,
-                     axis1=SweepAxis.explicit("delta", [5.0, 9.8]),
+                     axis1=SweepAxis("delta", [5.0, 9.8]),
                      quantity="both_g2")
     a = grid_csv(run_sweep(spec))
     b = grid_csv(run_sweep(spec))

@@ -20,9 +20,11 @@ def test_axis_linspace():
 
 
 def test_axis_explicit():
-    ax = SweepAxis.explicit("omega_s", [0.001, 0.05, 0.09])
+    ax = SweepAxis("omega_s", [0.001, 0.05, 0.09])
     assert ax.count == 3
     assert ax.values == (0.001, 0.05, 0.09)
+    # any iterable of numbers will do, as it did for the deleted SweepAxis.explicit
+    assert SweepAxis("omega_s", (v for v in [0.001, 0.05, 0.09])) == ax
 
 
 def test_axis_validation():
@@ -31,11 +33,11 @@ def test_axis_validation():
     with pytest.raises(ParameterError):
         SweepAxis.linspace("delta", 1.0, 0.0, 5)
     with pytest.raises(ParameterError):
-        SweepAxis.explicit("delta", [])
+        SweepAxis("delta", [])
     with pytest.raises(ParameterError):
-        SweepAxis.explicit("delta", [0.0, float("nan")])
+        SweepAxis("delta", [0.0, float("nan")])
     with pytest.raises(ParameterError):
-        SweepAxis.explicit("not_a_param", [1.0])
+        SweepAxis("not_a_param", [1.0])
 
 
 def test_axis_aliases_cover_pairs():
@@ -93,10 +95,31 @@ def test_spec_validation():
         SweepSpec(base=base_b, axis1=ax, quantity="both_g2")
 
 
+@pytest.mark.parametrize("axis2, rules, message", [
+    # a rule on an axis field would overwrite the axis, so its column would list
+    # values that were never computed
+    (None, ("delta = g_ms/2",),
+     "field 'delta_m' is set by both axis 'delta' and constraint 'delta = g_ms/2'"),
+    (None, ("delta_s = delta_m*1",),
+     "field 'delta_s' is set by both axis 'delta' and constraint 'delta_s = delta_m*1'"),
+    (SweepAxis("delta_s", [1.0, 2.0]), (),
+     "field 'delta_s' is set by both axis 'delta' and axis 'delta_s'"),
+    (None, ("kappa = 0.2", "kappa_s = 0.1"),
+     "field 'kappa_s' is set by both constraint 'kappa = 0.2' and constraint 'kappa_s = 0.1'"),
+    (None, ("omega_d = omega_s*0.5", "omega_d = 0.1"),
+     "field 'omega_d' is set by both constraint 'omega_d = omega_s*0.5' and constraint 'omega_d = 0.1'"),
+], ids=["rule_on_axis", "rule_on_axis_part", "two_axes", "rule_on_rule_part", "two_rules"])
+def test_spec_rejects_two_setters_of_one_field(axis2, rules, message):
+    base = SystemParams(g_ms=19.6, omega_s=0.06, omega_d=0.01)
+    with pytest.raises(ParameterError) as info:
+        SweepSpec(base=base, axis1=SweepAxis("delta", [1.0, 2.0]), axis2=axis2, constraints=rules)
+    assert str(info.value) == message
+
+
 def test_spec_shape_and_columns():
     base = SystemParams(g_ms=19.6, omega_s=0.06, omega_d=0.01)
     ax1 = SweepAxis.linspace("delta", -1.0, 1.0, 5)
-    ax2 = SweepAxis.explicit("omega_d", [0.004, 0.01, 0.012])
+    ax2 = SweepAxis("omega_d", [0.004, 0.01, 0.012])
     spec = SweepSpec(base=base, axis1=ax1, axis2=ax2, quantity="both_g2")
     assert spec.shape == (5, 3)
     assert spec.column_names() == ("g2_numeric", "g2_analytic")
@@ -104,16 +127,16 @@ def test_spec_shape_and_columns():
     assert spec1.shape == (5, 1)
     assert spec1.column_names() == ("p0", "p1", "p2", "p3")
     # a single string constraint is normalized to a tuple
-    spec2 = SweepSpec(base=base, axis1=ax1, constraints="delta_s = delta_m*1")
-    assert spec2.constraints == ("delta_s = delta_m*1",)
+    spec2 = SweepSpec(base=base, axis1=ax1, constraints="omega_d = omega_s*0.5")
+    assert spec2.constraints == ("omega_d = omega_s*0.5",)
 
 
 def test_spec_params_at_applies_axes_and_constraints():
     base = SystemParams(omega_d=0.01, kappa_m=0.3, kappa_s=0.3)
     spec = SweepSpec(
         base=base,
-        axis1=SweepAxis.explicit("g_ms", [10.0, 20.0]),
-        axis2=SweepAxis.explicit("kappa", [0.1, 1.0]),
+        axis1=SweepAxis("g_ms", [10.0, 20.0]),
+        axis2=SweepAxis("kappa", [0.1, 1.0]),
         constraints=("delta = g_ms/2",),
     )
     p = spec.params_at(1, 0)
@@ -127,11 +150,11 @@ def test_spec_params_at_applies_axes_and_constraints():
 
 def test_single_point_matches_direct_call(broad_params):
     spec = SweepSpec(base=broad_params,
-                     axis1=SweepAxis.explicit("delta", [9.8]),
+                     axis1=SweepAxis("delta", [9.8]),
                      quantity="g2_numeric")
     grid = run_sweep(spec)
     s = broad_params.space()
-    rho = steady_state(build_liouvillian(broad_params, s))
+    rho = steady_state(build_liouvillian(broad_params))
     assert grid.values.shape == (1, 1)
     assert grid.values[0, 0] == g2_zero(rho, s)
     assert grid.failures == []
@@ -142,8 +165,8 @@ def test_sweep_rerun_deterministic(broad_params):
     # per-cell failure path is exercised too
     spec = SweepSpec(
         base=broad_params.replace(omega_s=0.0),
-        axis1=SweepAxis.explicit("delta", [-9.8, 0.0, 9.8]),
-        axis2=SweepAxis.explicit("omega_d", [0.0, 0.01]),
+        axis1=SweepAxis("delta", [-9.8, 0.0, 9.8]),
+        axis2=SweepAxis("omega_d", [0.0, 0.01]),
         quantity="both_g2",
     )
     a = run_sweep(spec)
@@ -159,7 +182,7 @@ def test_sweep_rerun_deterministic(broad_params):
 
 def test_sweep_routes_agree_on_grid(broad_params):
     spec = SweepSpec(base=broad_params,
-                     axis1=SweepAxis.explicit("delta", [3.0, 9.8]),
+                     axis1=SweepAxis("delta", [3.0, 9.8]),
                      quantity="both_g2")
     grid = run_sweep(spec)
     num = grid.planes["g2_numeric"]
@@ -187,8 +210,8 @@ def _tiny_grid(values, quantity="g2_numeric"):
     vals = np.asarray(values, dtype=float)
     spec = SweepSpec(
         base=SystemParams(g_ms=19.6, omega_s=0.06, omega_d=0.01),
-        axis1=SweepAxis.explicit("delta", list(range(1, vals.shape[0] + 1))),
-        axis2=SweepAxis.explicit("omega_d", list(np.arange(vals.shape[1]) + 0.001)),
+        axis1=SweepAxis("delta", list(range(1, vals.shape[0] + 1))),
+        axis2=SweepAxis("omega_d", list(np.arange(vals.shape[1]) + 0.001)),
         quantity=quantity,
     )
     return ResultGrid(spec=spec, planes={quantity: vals})

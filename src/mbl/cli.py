@@ -27,6 +27,7 @@ from .lindblad import (
     g2_zero,
     mean_occupation,
     steady_state,
+    unvectorize,
     vectorize,
 )
 from .model import SCENARIOS, SWEEPABLE_FIELDS, SystemParams, dressed_spectrum, finite_real
@@ -239,7 +240,7 @@ def _cmd_steady(opts: dict, params: SystemParams, out: str | None, fmt: str, gam
     space = params.space()
     liouv = build_liouvillian(params)
     rho = steady_state(liouv)
-    residual = float(np.max(np.abs(liouv @ vectorize(rho))))
+    residual = float(np.max(np.abs(unvectorize(liouv @ vectorize(rho), space.total_dim))))
     diag = density_diagnostics(rho)
     pops = fock_populations(rho, space)
     report: dict[str, float] = {

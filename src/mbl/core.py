@@ -81,13 +81,15 @@ def projector(space: Space, qubit: int, fock: int) -> np.ndarray:
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring a degree-18 Taylor series.
 
-    `a` is halved s times until its 1-norm is at most 1/4, where the series tail
-    is far below double precision, and the sum is squared s times (Moler & Van Loan 2003).
+    `a` is halved s times until its 1-norm is below 1, where the series tail
+    Σ_{k>18} ‖a‖ᵏ/k! < 1e-17 is below double precision, and the sum is squared
+    s times (Moler & Van Loan 2003). Each squaring amplifies rounding, so s is
+    kept at that minimum.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expm expects a square matrix, got shape {a.shape}")
-    squarings = max(0, int(np.frexp(4.0 * np.linalg.norm(a, 1))[1]))
+    squarings = max(0, int(np.frexp(np.linalg.norm(a, 1))[1]))
     a = a / 2.0**squarings
     eye = np.eye(a.shape[0], dtype=np.result_type(a, float))
     out = eye

@@ -1,9 +1,19 @@
 """Open-system dynamics: Liouvillian construction, steady state, evolution.
 
-Density matrices are vectorized by column stacking, so vec(A ρ B) =
-(Bᵀ ⊗ A) vec(ρ) and the master equation becomes d vec(ρ)/dt = L vec(ρ)
-with L a dense total_dim² × total_dim² complex matrix. Decay channels enter
-as (rate/2)(2 C ρ C† - C†C ρ - ρ C†C).
+A Hermitian density matrix ρ on the D-dimensional composite space is held
+as D² real coordinates: ρ_ii, and Re ρ_ij and Im ρ_ij for i < j (the
+coherence-vector form, Breuer & Petruccione 2002 §3.2). They are the
+entries of one real D×D matrix R, read in row-major order, with
+R[i, j] = Re ρ_ij on and above the diagonal and R[i, j] = Im ρ_ij below it.
+The master equation is then dv/dt = L v with L a real D² × D² matrix, and
+decay channels enter as (rate/2)(2 C ρ C† - C†C ρ - ρ C†C).
+
+The coordinates are balanced by weak-drive order: the coordinate of
+|a⟩⟨b| is ρ's entry divided by ε^(N_a+N_b), where N counts the two-level
+plus oscillator excitations of a basis state. Under weak drive ρ_ab falls
+off with N_a+N_b (Liew & Savona, PRL 104, 183601 (2010)), so the scaling
+evens out the rows of the steady-state system before it is LU-solved.
+ε = 1/2 is a power of two, so the scaling rounds nothing.
 
 Scenario A couples the oscillator to a thermal bath (occupation n_th) and
 damps the reduced two-level system; scenario B keeps only the two zero-
@@ -14,71 +24,134 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import Space, annihilation, expm, qubit_ops
+from .core import QUBIT_DIM, Space, annihilation, expm, qubit_ops
 from .errors import NumericalError, ParameterError
 from .model import SystemParams, hamiltonian_coefficients, hamiltonian_terms
 
 STEADY_RESIDUAL_TOL = 1e-10
 
+# ε of the drive-order balancing; a power of two, so scaling by it is exact
+BALANCE = 0.5
+
+
+class _Layout(NamedTuple):
+    """Where each entry of a D×D Hermitian matrix lives among its coordinates; read-only arrays."""
+
+    upper: np.ndarray  # (D, D) bool: R holds Re ρ_ab here, Im ρ_ab elsewhere
+    scale: np.ndarray  # (D, D): ε^(N_a+N_b)
+    real_at: np.ndarray  # (D, D) flat coordinate index of Re ρ_ab
+    imag_at: np.ndarray  # (D, D) flat coordinate index of Im ρ_ab, up to sign
+    imag_scale: np.ndarray  # (D, D): sign(a - b) ε^(N_a+N_b), so Im ρ_ab = imag_scale · v[imag_at]
+    trace: np.ndarray  # (D²,): tr ρ = trace · v
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(dim: int) -> _Layout:
+    if dim % QUBIT_DIM:
+        raise ValueError(f"dimension {dim} is not a two-level system times an oscillator")
+    fock_dim = dim // QUBIT_DIM
+    excitations = np.add.outer(np.arange(QUBIT_DIM), np.arange(fock_dim)).reshape(-1)
+    scale = BALANCE ** np.add.outer(excitations, excitations).astype(float)
+    a, b = np.indices((dim, dim))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    layout = _Layout(
+        upper=a <= b,
+        scale=scale,
+        real_at=lo * dim + hi,
+        imag_at=hi * dim + lo,
+        imag_scale=np.sign(a - b) * scale,
+        trace=(np.eye(dim) * scale).reshape(-1),
+    )
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
+    """Balanced real coordinates of a Hermitian matrix, or of each in a stack (..., D, D)."""
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    return rho.flatten(order="F")
+    defect = np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj()), initial=0.0)
+    if defect > 1e-12 * np.max(np.abs(rho), initial=0.0):
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e}); only Hermitian matrices have coordinates")
+    dim = rho.shape[-1]
+    layout = _layout(dim)
+    return (np.where(layout.upper, rho.real, rho.imag) / layout.scale).reshape(*rho.shape[:-2], dim * dim)
 
 
 def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of `vectorize`."""
+    """Inverse of `vectorize`: the Hermitian (dim, dim) matrix of each coordinate vector."""
     vec = np.asarray(vec)
-    if vec.size != dim * dim:
-        raise ValueError(f"vector of size {vec.size} does not fold into {dim}x{dim}")
-    return vec.reshape((dim, dim), order="F")
+    if vec.ndim < 1 or vec.shape[-1] != dim * dim:
+        raise ValueError(f"vector of shape {vec.shape} does not fold into {dim}x{dim}")
+    layout = _layout(dim)
+    rho = np.empty((*vec.shape[:-1], dim, dim), dtype=complex)
+    rho.real = vec[..., layout.real_at] * layout.scale
+    rho.imag = vec[..., layout.imag_at] * layout.imag_scale
+    return rho
 
 
-def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
-    """Superoperator for -i[H, ρ]."""
-    d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+def _sandwich_entries(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Entries of the superoperator ρ ↦ A ρ B: output (i, j), input (k, l), value A_ik B_lj."""
+    i, k = np.nonzero(a)
+    l, j = np.nonzero(b)
+    x, y = np.repeat(np.arange(i.size), l.size), np.tile(np.arange(l.size), i.size)
+    return i[x], j[y], k[x], l[y], a[i[x], k[x]] * b[l[y], j[y]]
 
 
-def dissipator_superop(c: np.ndarray) -> np.ndarray:
-    """Superoperator for 2 C ρ C† - C†C ρ - ρ C†C (rate factored out)."""
-    d = c.shape[0]
-    eye = np.eye(d, dtype=complex)
-    cdc = c.conj().T @ c
-    return 2.0 * np.kron(c.conj(), c) - np.kron(eye, cdc) - np.kron(cdc.T, eye)
+def _real_entries(sandwiches: list[tuple[np.ndarray, np.ndarray]], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into the real D² × D² generator, and values, of a sum of sandwiches.
 
-
-def _sparse_superop(superop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    flat = superop.reshape(-1)
-    idx = np.flatnonzero(flat)
-    return idx, flat[idx]
+    Only outputs ρ_ij with i >= j are read: the generator preserves
+    Hermiticity, so dρ_ji is the conjugate of dρ_ij. An input is
+    ρ_kl = v[real_at] + i·sign(k - l)·v[imag_at] in unscaled coordinates.
+    Repeated indices are summed by the caller.
+    """
+    i, j, k, l, v = (np.concatenate(parts) for parts in zip(*(_sandwich_entries(a, b) for a, b in sandwiches)))
+    keep = i >= j
+    i, j, k, l, v = i[keep], j[keep], k[keep], l[keep], v[keep]
+    layout = _layout(dim)
+    re_row, im_row = layout.real_at[i, j], layout.imag_at[i, j]
+    re_col, im_col = layout.real_at[k, l], layout.imag_at[k, l]
+    sigma = np.sign(k - l)
+    off = i > j  # the diagonal has no imaginary coordinate
+    rows = np.concatenate([re_row, re_row, im_row, im_row])
+    cols = np.concatenate([re_col, im_col, re_col, im_col])
+    vals = np.concatenate([v.real, -v.imag * sigma, v.imag * off, v.real * sigma * off])
+    return rows * dim * dim + cols, vals * np.tile(layout.scale[k, l] / layout.scale[i, j], 4)
 
 
 @functools.lru_cache(maxsize=8)
 def _liouvillian_terms(space: Space) -> tuple[np.ndarray, np.ndarray]:
-    """Term table of the generator: L = Σₖ cₖ Lₖ with cₖ from `_liouvillian_coefficients`.
+    """Term table of the real generator: L = Σₖ cₖ Lₖ with cₖ from `_liouvillian_coefficients`.
 
     Rows 0-4 are -i[Hₖ, ·] for the model's `hamiltonian_terms`; rows 5-7 are
-    the dissipators of m, m† and σ₋. The Lₖ are stored on the union of their
-    nonzero patterns, flat indices `pattern` and an (8, pattern.size) value
-    matrix, both read-only. A dense (8, d², d²) stack would be over 10x
-    larger at fock_dim 6 and over 100x at fock_dim 20.
+    the dissipators of m, m† and σ₋, all in the balanced real coordinates.
+    The Lₖ are stored on the union of their nonzero patterns, flat indices
+    `pattern` and an (8, pattern.size) value matrix, both read-only. A dense
+    (8, d², d²) stack would be over 10x larger at fock_dim 6 and over 100x at
+    fock_dim 20.
     """
+    dim = space.total_dim
+    eye = np.eye(dim)
     m = annihilation(space)
-    sm = qubit_ops(space)[0]
-    parts = [_sparse_superop(hamiltonian_superop(h)) for h in hamiltonian_terms(space)]
-    parts += [_sparse_superop(dissipator_superop(c)) for c in (m, m.conj().T, sm)]
-    pattern = np.unique(np.concatenate([idx for idx, _ in parts]))
-    values = np.zeros((len(parts), pattern.size), dtype=complex)
-    for row, (idx, vals) in zip(values, parts):
-        row[np.searchsorted(pattern, idx)] = vals
+    terms = [[(-1j * h, eye), (eye, 1j * h)] for h in hamiltonian_terms(space)]
+    for c in (m, m.conj().T, qubit_ops(space)[0]):
+        cdc = c.conj().T @ c
+        terms.append([(2.0 * c, c.conj().T), (-cdc, eye), (eye, -cdc)])
+    entries = [_real_entries(sandwiches, dim) for sandwiches in terms]
+    flat = np.concatenate([idx for idx, _ in entries])
+    row = np.repeat(np.arange(len(entries)), [idx.size for idx, _ in entries])
+    pattern, column = np.unique(flat, return_inverse=True)
+    values = np.zeros((len(entries), pattern.size))
+    np.add.at(values, (row, column), np.concatenate([vals for _, vals in entries]))
+    nonzero = np.any(values != 0.0, axis=0)
+    pattern, values = pattern[nonzero], values[:, nonzero]
     pattern.setflags(write=False)
     values.setflags(write=False)
     return pattern, values
@@ -93,7 +166,7 @@ def _liouvillian_coefficients(params: SystemParams) -> np.ndarray:
 
 
 def build_liouvillian(params: SystemParams) -> np.ndarray:
-    """Dense generator of the master equation for the given parameters.
+    """Real generator of the master equation in the balanced coordinates of `vectorize`.
 
     Scenario A: oscillator loss at (kappa_m/2)(n_th + 1), oscillator thermal
     excitation at (kappa_m/2) n_th, two-level decay at kappa_s/2.
@@ -104,54 +177,61 @@ def build_liouvillian(params: SystemParams) -> np.ndarray:
     space = params.space()
     pattern, values = _liouvillian_terms(space)
     d2 = space.total_dim**2
-    liouv = np.zeros((d2, d2), dtype=complex)
+    liouv = np.zeros((d2, d2))
     liouv.reshape(-1)[pattern] = _liouvillian_coefficients(params) @ values
     return liouv
 
 
-def steady_state(liouv: np.ndarray) -> np.ndarray:
-    """Null vector of the Liouvillian, normalized to unit trace.
+def _check_generator(liouv: np.ndarray) -> int:
+    """Density-matrix dimension D of a real D² × D² generator; ValueError for anything else."""
+    d2 = liouv.shape[0] if liouv.ndim == 2 else 0
+    d = math.isqrt(d2)
+    if liouv.shape != (d2, d2) or d * d != d2 or d2 == 0:
+        raise ValueError(f"Liouvillian shape {liouv.shape} is not a square of a square dimension")
+    if np.iscomplexobj(liouv):
+        raise ValueError("the Liouvillian acts on real coordinates and must be real; see build_liouvillian")
+    return d
 
-    One row is traded for the trace constraint vec(I)ᵀ and the resulting
-    system is LU-solved; the output is symmetrized. Requires both decay
-    rates positive for uniqueness; a singular or ill-conditioned system
-    raises NumericalError.
+
+def steady_state(liouv: np.ndarray) -> np.ndarray:
+    """Null vector of the Liouvillian, as a density matrix of unit trace.
+
+    The ground population is held at 1 while the other rows of L v = 0 are
+    LU-solved for the remaining coordinates; the ground-population row is
+    implied by the others, since L preserves the trace. The system matrix is
+    the block L[1:, 1:] itself, so `liouv` is neither copied nor changed.
+    The result is then scaled to unit trace. Requires both decay rates
+    positive for uniqueness; a singular or ill-conditioned system, a steady
+    state without ground population, or a residual max |dρ/dt| above
+    STEADY_RESIDUAL_TOL raises NumericalError.
     """
     liouv = np.asarray(liouv)
-    d2 = liouv.shape[0]
-    d = math.isqrt(d2)
-    if liouv.ndim != 2 or liouv.shape != (d2, d2) or d * d != d2:
-        raise ValueError(f"Liouvillian shape {liouv.shape} is not a square of a square dimension")
-    trace_row = np.zeros(d2, dtype=complex)
-    trace_row[(d + 1) * np.arange(d)] = 1.0
-    a = liouv.copy()
-    a[0, :] = trace_row
-    b = np.zeros(d2, dtype=complex)
-    b[0] = 1.0
+    d = _check_generator(liouv)
+    x = np.empty(d * d)
+    x[0] = 1.0
     try:
-        x = np.linalg.solve(a, b)
+        x[1:] = np.linalg.solve(liouv[1:, 1:], -liouv[1:, 0])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"steady state is degenerate or undefined: {exc}") from exc
-    if not np.all(np.isfinite(x.view(float))):
+    x /= _layout(d).trace @ x
+    if not np.all(np.isfinite(x)):
         raise NumericalError("steady-state solve produced non-finite entries")
-    residual = np.max(np.abs(liouv @ x))
+    residual = np.max(np.abs(unvectorize(liouv @ x, d)))
     if residual > STEADY_RESIDUAL_TOL:
         raise NumericalError(f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.0e}")
-    rho = unvectorize(x, d)
-    return 0.5 * (rho + rho.conj().T)
+    return unvectorize(x, d)
 
 
 def evolve(liouv: np.ndarray, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Propagate the master equation; returns snapshots stacked on axis 0.
 
-    `times` must be increasing and start at the time where `rho0` holds.
+    `rho0` must be Hermitian, and `times` increasing from the time where `rho0` holds.
     Each step applies the exact propagator expm(L·dt), computed once per
     distinct step length.
     """
     liouv = np.asarray(liouv)
-    rho0 = np.asarray(rho0, dtype=complex)
-    d2 = liouv.shape[0]
-    d = math.isqrt(d2)
+    d = _check_generator(liouv)
+    rho0 = np.asarray(rho0)
     if rho0.shape != (d, d):
         raise ValueError(f"rho0 shape {rho0.shape} does not match Liouvillian dimension {d}")
     times = np.asarray(times, dtype=float)
@@ -168,28 +248,37 @@ def evolve(liouv: np.ndarray, rho0: np.ndarray, times: np.ndarray) -> np.ndarray
                 propagators.clear()
             propagators[step] = expm(liouv * step)
         vecs.append(propagators[step] @ vecs[-1])
-    return np.stack([unvectorize(v, d) for v in vecs])
+    return unvectorize(np.stack(vecs), d)
 
 
-def _fock_diagonal(rho: np.ndarray, space: Space) -> np.ndarray:
-    """Complex diagonal of rho in the oscillator basis, traced over the two-level system."""
+def fock_populations(rho: np.ndarray, space: Space) -> np.ndarray:
+    """Oscillator-level populations P_n, traced over the two-level system.
+
+    `rho` may be a stack (..., D, D); the populations run along the last axis.
+    """
     rho = np.asarray(rho)
-    if rho.shape != (space.total_dim, space.total_dim):
+    if rho.shape[-2:] != (space.total_dim, space.total_dim):
         raise ValueError(f"rho shape {rho.shape} does not match space dimension {space.total_dim}")
-    diag = np.diagonal(rho)
-    return diag[: space.fock_dim] + diag[space.fock_dim :]
+    diag = np.diagonal(rho, axis1=-2, axis2=-1).real
+    return diag[..., : space.fock_dim] + diag[..., space.fock_dim :]
 
 
-def _real_moment(weights: np.ndarray, diag: np.ndarray, what: str) -> float:
-    value = complex(weights @ diag)
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise NumericalError(f"{what} has a non-negligible imaginary part ({value.imag:.3e})")
-    return value.real
+def _moments(pops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Σ n Pₙ and Σ n(n-1) Pₙ along the last axis."""
+    n = np.arange(pops.shape[-1], dtype=float)
+    return (pops * n).sum(axis=-1), (pops * (n * (n - 1.0))).sum(axis=-1)
+
+
+def g2_from_populations(pops: np.ndarray) -> np.ndarray:
+    """⟨m†m†mm⟩ / ⟨m†m⟩² from populations on the last axis; NaN where the mode is unoccupied."""
+    occupation, pairs = _moments(np.asarray(pops, dtype=float))
+    defined = (occupation > 0.0) & (occupation * occupation >= 1e-300)
+    return np.where(defined, pairs / np.where(defined, occupation * occupation, 1.0), np.nan)
 
 
 def mean_occupation(rho: np.ndarray, space: Space) -> float:
     """⟨m†m⟩ = Σ n Pₙ for the oscillator mode."""
-    return _real_moment(np.arange(space.fock_dim, dtype=float), _fock_diagonal(rho, space), "mean occupation")
+    return float(_moments(fock_populations(rho, space))[0])
 
 
 def g2_zero(rho: np.ndarray, space: Space) -> float:
@@ -198,18 +287,10 @@ def g2_zero(rho: np.ndarray, space: Space) -> float:
     Both moments are diagonal in the Fock basis: Σ n(n-1) Pₙ and Σ n Pₙ.
     Raises NumericalError when the mode is unoccupied (undefined ratio).
     """
-    diag = _fock_diagonal(rho, space)
-    n = np.arange(space.fock_dim, dtype=float)
-    numerator = _real_moment(n * (n - 1.0), diag, "two-quantum moment")
-    occupation = _real_moment(n, diag, "mean occupation")
-    if occupation <= 0.0 or occupation * occupation < 1e-300:
+    g2 = float(g2_from_populations(fock_populations(rho, space)))
+    if math.isnan(g2):
         raise NumericalError("g2 is undefined: oscillator mode is unoccupied")
-    return numerator / (occupation * occupation)
-
-
-def fock_populations(rho: np.ndarray, space: Space) -> np.ndarray:
-    """Oscillator-level populations P_n, traced over the two-level system."""
-    return np.real(_fock_diagonal(rho, space))
+    return g2
 
 
 def density_diagnostics(rho: np.ndarray) -> dict[str, float]:

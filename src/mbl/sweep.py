@@ -3,7 +3,8 @@
 A sweep is a one- or two-axis grid over `SystemParams` fields. Axis names
 are plain field names plus two linked aliases: "delta" sets both detunings
 and "kappa" sets both decay rates. Constraint strings like "delta = g_ms/2"
-re-derive dependent fields at every grid point.
+re-derive dependent fields at every grid point; a rule reads axis and base
+values only, never a field another rule sets.
 
 Grid points are independent; failures at individual points are recorded and
 never abort the grid. Cells are evaluated one after another by the same
@@ -23,7 +24,7 @@ import numpy as np
 from .analytic import analytic_g2
 from .core import projector
 from .errors import NumericalError, ParameterError
-from .lindblad import build_liouvillian, evolve, fock_populations, g2_zero, steady_state
+from .lindblad import build_liouvillian, evolve, fock_populations, g2_from_populations, g2_zero, steady_state
 from .model import SWEEPABLE_FIELDS, SystemParams, finite_real
 
 AXIS_ALIASES: dict[str, tuple[str, ...]] = {
@@ -156,6 +157,13 @@ class SweepSpec:
                 if name in setters:
                     raise ParameterError(f"field {name!r} is set by both {setters[name]} and {setter}")
                 setters[name] = setter
+        # rules read axis and base values only, so the order they are listed in cannot matter
+        rule_targets = {name: rule for rule, parsed in zip(self.constraints, self._rules)
+                        for name in _expand_param_name(parsed.target)}
+        for rule, parsed in zip(self.constraints, self._rules):
+            other = rule_targets.get(parsed.source, rule)
+            if other != rule:
+                raise ParameterError(f"constraint {rule!r} reads {parsed.source!r}, which constraint {other!r} sets")
         if self.quantity in ("g2_analytic", "both_g2") and self.base.scenario != "A":
             raise ParameterError(f"quantity {self.quantity!r} needs the closed-form route, which is scenario A only")
 
@@ -295,18 +303,10 @@ def run_evolution(job: EvolutionJob) -> TimeSeries:
     space = job.base.space()
     liouv = build_liouvillian(job.base)
     times = job.times()
-    rhos = evolve(liouv, projector(space, 0, 0), times)
-    planes = {f"p{k}": np.empty(times.size) for k in range(N_POPULATION_COLUMNS)}
-    planes["g2"] = np.empty(times.size)
-    for t_idx in range(times.size):
-        rho = rhos[t_idx]
-        pops = fock_populations(rho, space)
-        for k in range(N_POPULATION_COLUMNS):
-            planes[f"p{k}"][t_idx] = pops[k] if k < pops.size else 0.0
-        try:
-            planes["g2"][t_idx] = g2_zero(rho, space)
-        except NumericalError:
-            planes["g2"][t_idx] = np.nan
+    pops = fock_populations(evolve(liouv, projector(space, 0, 0), times), space)
+    planes = {f"p{k}": pops[:, k] if k < space.fock_dim else np.zeros(times.size)
+              for k in range(N_POPULATION_COLUMNS)}
+    planes["g2"] = g2_from_populations(pops)
     return TimeSeries(times=times, planes=planes)
 
 

@@ -9,7 +9,8 @@ import pytest
 
 from mbl.analytic import analytic_g2, closed_form_amplitudes, solve_steady_linear
 from mbl.lindblad import (build_liouvillian, density_diagnostics, g2_zero,
-                          mean_occupation, steady_state, vectorize)
+                          mean_occupation, steady_state, unvectorize,
+                          vectorize)
 from mbl.model import SystemParams, dressed_spectrum
 from mbl.sweep import (FIGURE_NAMES, EvolutionJob, SweepAxis, SweepSpec,
                        evaluate_point, figure_preset, find_minimum,
@@ -211,8 +212,8 @@ def test_steady_state_validity_across_presets(acceptance_log):
             liouv = build_liouvillian(params)
             rho = steady_state(liouv)
             diag = density_diagnostics(rho)
-            worst["residual"] = max(worst["residual"],
-                                    float(np.max(np.abs(liouv @ vectorize(rho)))))
+            drho = unvectorize(liouv @ vectorize(rho), params.space().total_dim)
+            worst["residual"] = max(worst["residual"], float(np.max(np.abs(drho))))
             worst["herm"] = max(worst["herm"], diag["hermiticity_defect"])
             worst["trace"] = max(worst["trace"], abs(diag["trace_real"] - 1.0))
             worst["neg"] = max(worst["neg"], max(0.0, -diag["min_eigenvalue"]))

@@ -3,6 +3,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liouvillian_reference import in_coordinates, reference_build, trace_drift
 from mbl.lindblad import build_liouvillian, steady_state, unvectorize, vectorize
 from mbl.model import SystemParams
 
@@ -32,9 +33,9 @@ PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 @PROPERTY_SETTINGS
 @given(system_params())
 def test_liouvillian_preserves_trace_property(p):
+    # trace(unvectorize(L v)) = 0 for every real v, checked on the coordinate basis
     liouv = build_liouvillian(p)
-    trace_row = vectorize(np.eye(p.space().total_dim, dtype=complex))
-    assert np.max(np.abs(trace_row @ liouv)) <= 1e-12 * np.max(np.abs(liouv))
+    assert trace_drift(liouv, p.space().total_dim) <= 1e-12 * np.max(np.abs(liouv))
 
 
 @PROPERTY_SETTINGS
@@ -48,6 +49,14 @@ def test_liouvillian_preserves_hermiticity_property(p, seed):
     drho = unvectorize(liouv @ vectorize(rho), d)
     bound = 1e-12 * np.max(np.abs(liouv)) * np.max(np.abs(rho))
     assert np.max(np.abs(drho - drho.conj().T)) <= bound
+
+
+@PROPERTY_SETTINGS
+@given(system_params())
+def test_liouvillian_matches_reference_build_property(p):
+    d = p.space().total_dim
+    want = in_coordinates(reference_build(p)[1], d)
+    assert np.max(np.abs(build_liouvillian(p) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @PROPERTY_SETTINGS

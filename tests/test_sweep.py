@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from mbl.core import projector
 from mbl.errors import NumericalError, ParameterError
-from mbl.lindblad import build_liouvillian, g2_zero, steady_state
+from mbl.lindblad import (build_liouvillian, evolve, fock_populations, g2_zero,
+                          steady_state)
 from mbl.model import SystemParams
 from mbl.sweep import (AXIS_ALIASES, FIGURE_NAMES, Constraint, EvolutionJob,
                        SweepAxis, SweepSpec, evaluate_point, figure_preset,
@@ -114,6 +116,25 @@ def test_spec_rejects_two_setters_of_one_field(axis2, rules, message):
     with pytest.raises(ParameterError) as info:
         SweepSpec(base=base, axis1=SweepAxis("delta", [1.0, 2.0]), axis2=axis2, constraints=rules)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("rules, message", [
+    # applied in list order, the first rule would read the base omega_s, not 0.1
+    (("omega_d = omega_s*0.5", "omega_s = 0.1"),
+     "constraint 'omega_d = omega_s*0.5' reads 'omega_s', which constraint 'omega_s = 0.1' sets"),
+    (("omega_s = 0.1", "omega_d = omega_s*0.5"),
+     "constraint 'omega_d = omega_s*0.5' reads 'omega_s', which constraint 'omega_s = 0.1' sets"),
+    (("kappa = 0.2", "omega_d = kappa_s*0.1"),
+     "constraint 'omega_d = kappa_s*0.1' reads 'kappa_s', which constraint 'kappa = 0.2' sets"),
+], ids=["source_set_later", "source_set_earlier", "source_set_by_alias"])
+def test_spec_rejects_rule_reading_a_rule_target(rules, message):
+    base = SystemParams(g_ms=19.6, omega_s=0.06, omega_d=0.01)
+    with pytest.raises(ParameterError) as info:
+        SweepSpec(base=base, axis1=SweepAxis("delta", [1.0]), constraints=rules)
+    assert str(info.value) == message
+    # a rule may read its own target: it sees the axis or base value
+    spec = SweepSpec(base=base, axis1=SweepAxis("delta", [1.0]), constraints="omega_s = omega_s*2")
+    assert spec.params_at(0).omega_s == 0.12
 
 
 def test_spec_shape_and_columns():
@@ -252,6 +273,24 @@ def test_run_evolution_small(broad_params):
     assert np.all(np.isfinite(series.planes["g2"][1:]))
     total = sum(series.planes[f"p{k}"][-1] for k in range(4))
     assert total == pytest.approx(1.0, abs=1e-4)
+
+
+def test_run_evolution_matches_per_snapshot_observables():
+    # the one vectorised pass over all snapshots against fock_populations/g2_zero per snapshot
+    job = figure_preset("fig7")
+    series = run_evolution(job)
+    space = job.base.space()
+    rhos = evolve(build_liouvillian(job.base), projector(space, 0, 0), series.times)
+    for t, rho in enumerate(rhos):
+        pops = fock_populations(rho, space)
+        for k in range(4):
+            assert abs(series.planes[f"p{k}"][t] - pops[k]) <= 1e-14 * abs(pops[k])
+        try:
+            want = g2_zero(rho, space)
+        except NumericalError:
+            assert np.isnan(series.planes["g2"][t])
+            continue
+        assert abs(series.planes["g2"][t] - want) <= 1e-14 * want
 
 
 def test_evolution_job_validation(broad_params):

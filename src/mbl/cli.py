@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Subcommands: steady, evolve, sweep, figure, spectrum, analytic. A JSON
-config file (--config) can carry everything a run needs; each of its keys
-stands for one flag, and command-line flags override config values. Exit
-codes: 0 success, 1 bad input or config, 2 numerical failure.
+Subcommands: steady, evolve, sweep, figure, spectrum, analytic. Each takes
+exactly the options it reads, declared once in `build_parser`; flags are
+taken only as spelled in full. A JSON config file (--config) can carry
+everything a run needs: each of its keys stands for one flag, a key counts
+only for a command that has that flag, and command-line flags override
+config values. Exit codes: 0 success, 1 bad input or config, 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -66,7 +69,14 @@ CONFIG_DESTS: dict = {
     "output": {"path": "out", "format": "format"},
     "sweep": {name: name for name in ("axis1", "axis2", "quantity", "constraints")},
     "evolve": {"t_end": "t_end", "num": "num"},
-    "spectrum": {name: f"sp_{name}" for name in ("omega_m", "omega_q", "g", "n_max")},
+    "spectrum": {name: name for name in ("omega_m", "omega_q", "g", "n_max")},
+}
+
+# each dest's config key, spelled as in the file
+CONFIG_KEYS = {
+    **{dest: key for key, dest in CONFIG_DESTS.items() if isinstance(dest, str)},
+    **{dest: f"{section}.{key}" for section, table in CONFIG_DESTS.items() if isinstance(table, dict)
+       for key, dest in table.items()},
 }
 
 
@@ -108,43 +118,54 @@ def load_config(path: str) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as config errors (exit 1)."""
+    """argparse that takes no abbreviated flag and reports usage problems as config errors (exit 1)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):  # noqa: D102
         raise ParameterError(message)
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
 def _common_parent() -> argparse.ArgumentParser:
+    """Options every subcommand takes."""
     parent = _Parser(add_help=False)
     parent.add_argument("--config", default=argparse.SUPPRESS, help="JSON run config; flags override its values")
     parent.add_argument("--out", default=argparse.SUPPRESS, help="output file (default: stdout, or <figure>.<fmt>)")
     parent.add_argument("--format", default=argparse.SUPPRESS, help="output format: csv (default) or json")
     parent.add_argument("--gamma-mhz", type=float, default=argparse.SUPPRESS, help="reference rate in MHz (metadata only)")
-    group = parent.add_argument_group("model parameters (units of gamma)")
-    for name in (*SWEEPABLE_FIELDS, *AXIS_ALIASES):
-        group.add_argument(_flag(name), type=float, default=argparse.SUPPRESS, dest=name)
-    group.add_argument("--scenario", default=argparse.SUPPRESS, help=f"one of {', '.join(SCENARIOS)} (default A)")
-    group.add_argument("--fock-dim", type=int, default=argparse.SUPPRESS, dest="fock_dim")
     return parent
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parent = _common_parent()
+def _model_parent() -> argparse.ArgumentParser:
+    """The model parameters, for the subcommands that build a `SystemParams`."""
+    parent = _Parser(add_help=False)
+    group = parent.add_argument_group("model parameters (units of gamma)")
+    for name in (*SWEEPABLE_FIELDS, *AXIS_ALIASES):
+        group.add_argument("--" + name.replace("_", "-"), type=float, default=argparse.SUPPRESS)
+    group.add_argument("--scenario", default=argparse.SUPPRESS, help=f"one of {', '.join(SCENARIOS)} (default A)")
+    group.add_argument("--fock-dim", type=int, default=argparse.SUPPRESS)
+    return parent
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and each subcommand's own parser by name.
+
+    Every option defaults to argparse.SUPPRESS, so a subcommand declares a
+    dest exactly when its parser's `get_default(dest)` is SUPPRESS.
+    """
+    common, model = _common_parent(), _model_parent()
     parser = _Parser(prog="mbl", description="steady-state quantum-correlation calculator for a driven coupled mode")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub.add_parser("steady", parents=[parent], help="steady state diagnostics, populations, and g2(0)")
+    sub.add_parser("steady", parents=[common, model], help="steady state diagnostics, populations, and g2(0)")
 
-    p_evolve = sub.add_parser("evolve", parents=[parent], help="time evolution from the ground product state")
-    p_evolve.add_argument("--t-end", type=float, default=argparse.SUPPRESS, dest="t_end")
+    p_evolve = sub.add_parser("evolve", parents=[common, model], help="time evolution from the ground product state")
+    p_evolve.add_argument("--t-end", type=float, default=argparse.SUPPRESS)
     p_evolve.add_argument("--num", type=int, default=argparse.SUPPRESS)
 
-    p_sweep = sub.add_parser("sweep", parents=[parent], help="grid sweep over one or two parameters")
+    p_sweep = sub.add_parser("sweep", parents=[common, model], help="grid sweep over one or two parameters")
     p_sweep.add_argument("--axis1", default=argparse.SUPPRESS, help="'name:lo:hi:count' or 'name=v1,v2,...'")
     p_sweep.add_argument("--axis2", default=argparse.SUPPRESS, help="same syntax as --axis1")
     p_sweep.add_argument("--quantity", default=argparse.SUPPRESS, help=f"one of {', '.join(QUANTITIES)} (default g2_numeric)")
@@ -153,18 +174,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="linkage rule like 'delta = g_ms/2' (repeatable)",
     )
 
-    p_fig = sub.add_parser("figure", parents=[parent], help="run a bundled figure preset")
+    p_fig = sub.add_parser("figure", parents=[common], help="run a bundled figure preset")
     # no argparse choices: they reject the omitted name that a config "figure" key supplies
     p_fig.add_argument("name", nargs="?", default=argparse.SUPPRESS, help=f"one of {', '.join(FIGURE_NAMES)}")
 
-    p_spec = sub.add_parser("spectrum", parents=[parent], help="coupled-ladder eigenvalues and eigenvectors")
-    p_spec.add_argument("--omega-m", type=float, default=argparse.SUPPRESS, dest="sp_omega_m")
-    p_spec.add_argument("--omega-q", type=float, default=argparse.SUPPRESS, dest="sp_omega_q")
-    p_spec.add_argument("--g", type=float, default=argparse.SUPPRESS, dest="sp_g")
-    p_spec.add_argument("--n-max", type=int, default=argparse.SUPPRESS, dest="sp_n_max")
+    p_spec = sub.add_parser("spectrum", parents=[common], help="coupled-ladder eigenvalues and eigenvectors")
+    p_spec.add_argument("--omega-m", type=float, default=argparse.SUPPRESS)
+    p_spec.add_argument("--omega-q", type=float, default=argparse.SUPPRESS)
+    p_spec.add_argument("--g", type=float, default=argparse.SUPPRESS)
+    p_spec.add_argument("--n-max", type=int, default=argparse.SUPPRESS)
 
-    sub.add_parser("analytic", parents=[parent], help="closed-form steady amplitudes and g2(0)")
-    return parser
+    sub.add_parser("analytic", parents=[common, model], help="closed-form steady amplitudes and g2(0)")
+    return parser, sub.choices
 
 
 _parser = functools.cache(build_parser)
@@ -231,12 +252,17 @@ def _emit(text: str, out_path: str | None) -> None:
         write_text(out_path, text)
 
 
-def _print_mapping(pairs: dict[str, float]) -> None:
+def _report(pairs: dict[str, float], out: str | None, fmt: str, gamma: float | None) -> None:
+    """Print `key = value` lines, and write the same values to `out` if given; zeros lose their sign."""
+    pairs = {key: 0.0 if value == 0.0 else value for key, value in pairs.items()}
     for key, value in pairs.items():
         print(f"{key} = {value:.12g}")
+    if out is not None:
+        _emit(mapping_csv(pairs) if fmt == "csv" else mapping_json(pairs, gamma), out)
 
 
-def _cmd_steady(opts: dict, params: SystemParams, out: str | None, fmt: str, gamma: float | None) -> int:
+def _cmd_steady(opts: dict, out: str | None, fmt: str, gamma: float | None) -> int:
+    params = _params(opts)
     space = params.space()
     liouv = build_liouvillian(params)
     rho = steady_state(liouv)
@@ -259,15 +285,14 @@ def _cmd_steady(opts: dict, params: SystemParams, out: str | None, fmt: str, gam
         report["log10_g2"] = math.log10(g2) if g2 > 0 else float("nan")
     except NumericalError as exc:
         failed = str(exc)
-    _print_mapping(report)
+    _report(report, out, fmt, gamma)
     if failed is not None:
         print(f"g2 = undefined ({failed})")
-    if out is not None:
-        _emit(mapping_csv(report) if fmt == "csv" else mapping_json(report, gamma), out)
     return 2 if failed is not None else 0
 
 
-def _cmd_analytic(opts: dict, params: SystemParams, out: str | None, fmt: str, gamma: float | None) -> int:
+def _cmd_analytic(opts: dict, out: str | None, fmt: str, gamma: float | None) -> int:
+    params = _params(opts)
     amps = closed_form_amplitudes(params)
     report: dict[str, float] = {}
     for name, value in zip(STATE_NAMES, amps.as_array()):
@@ -279,14 +304,12 @@ def _cmd_analytic(opts: dict, params: SystemParams, out: str | None, fmt: str, g
     plus, minus = optimal_detuning(params.g_ms)
     report["optimal_delta_plus"] = plus
     report["optimal_delta_minus"] = minus
-    _print_mapping(report)
-    if out is not None:
-        _emit(mapping_csv(report) if fmt == "csv" else mapping_json(report, gamma), out)
+    _report(report, out, fmt, gamma)
     return 0
 
 
-def _cmd_spectrum(opts: dict, params: SystemParams, out: str | None, fmt: str, gamma: float | None) -> int:
-    levels = dressed_spectrum(opts.get("sp_omega_m"), opts.get("sp_omega_q"), opts.get("sp_g"), opts.get("sp_n_max", 3))
+def _cmd_spectrum(opts: dict, out: str | None, fmt: str, gamma: float | None) -> int:
+    levels = dressed_spectrum(opts.get("omega_m"), opts.get("omega_q"), opts.get("g"), opts.get("n_max", 3))
     print("n branch energy c_g_n c_e_nm1")
     for lv in levels:
         print(f"{lv.n} {lv.branch:+d} {lv.energy:.12g} {lv.c_g_n:.12g} {lv.c_e_nm1:.12g}")
@@ -306,16 +329,16 @@ def _run_job(job: SweepSpec | EvolutionJob, out: str | None, fmt: str, gamma: fl
     return grid.values.size, len(grid.failures)
 
 
-def _cmd_evolve(opts: dict, params: SystemParams, out: str | None, fmt: str, gamma: float | None) -> int:
-    _run_job(EvolutionJob(base=params, t_end=opts.get("t_end", 100.0), num=opts.get("num", 501)), out, fmt, gamma)
+def _cmd_evolve(opts: dict, out: str | None, fmt: str, gamma: float | None) -> int:
+    _run_job(EvolutionJob(base=_params(opts), t_end=opts.get("t_end", 100.0), num=opts.get("num", 501)), out, fmt, gamma)
     return 0
 
 
-def _cmd_sweep(opts: dict, params: SystemParams, out: str | None, fmt: str, gamma: float | None) -> int:
+def _cmd_sweep(opts: dict, out: str | None, fmt: str, gamma: float | None) -> int:
     if "axis1" not in opts:
         raise ParameterError("sweep needs --axis1 or a config sweep.axis1")
     spec = SweepSpec(
-        base=params,
+        base=_params(opts),
         axis1=_axis(opts["axis1"], "axis1"),
         axis2=_axis(opts["axis2"], "axis2") if "axis2" in opts else None,
         quantity=opts.get("quantity", "g2_numeric"),
@@ -325,11 +348,7 @@ def _cmd_sweep(opts: dict, params: SystemParams, out: str | None, fmt: str, gamm
     return 0
 
 
-def _cmd_figure(opts: dict, params: SystemParams, out: str | None, fmt: str, gamma: float | None) -> int:
-    # a preset fixes its own model point; a parameter from a flag or a config key would be ignored
-    overridden = [_flag(name) for name in (*PARAM_FIELDS, *AXIS_ALIASES) if name in opts]
-    if overridden:
-        raise ParameterError(f"figure presets are canonical; parameter(s) {', '.join(overridden)} do not apply")
+def _cmd_figure(opts: dict, out: str | None, fmt: str, gamma: float | None) -> int:
     name = opts.get("name")
     preset = figure_preset(name)
     out = out if out is not None else f"{name}.{fmt}"
@@ -350,14 +369,21 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        flags = vars(_parser().parse_args(argv))
+        parser, commands = _parser()
+        flags = vars(parser.parse_args(argv))
         command = flags["command"]
+        config = load_config(flags["config"]) if "config" in flags else {}
+        job = config.pop("job", command)
+        if job != command:
+            raise ParameterError(f"config job is {job!r} but the {command!r} subcommand was invoked")
+        # a config key counts only where the command has its flag
+        stray = [CONFIG_KEYS[dest] for dest in config if commands[command].get_default(dest) is not argparse.SUPPRESS]
+        if stray:
+            raise ParameterError(f"config key(s) {', '.join(stray)} do not apply to the {command!r} subcommand")
         # the one place config values and flags meet: a flag wins over its config key
-        opts = {**load_config(flags["config"]), **flags} if "config" in flags else flags
-        if opts.get("job", command) != command:
-            raise ParameterError(f"config job is {opts['job']!r} but the {command!r} subcommand was invoked")
+        opts = {**config, **flags}
         # options every subcommand takes are checked for all of them, before any numerics
-        return _COMMANDS[command](opts, _params(opts), *_output(opts))
+        return _COMMANDS[command](opts, *_output(opts))
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,6 +34,10 @@ from .model import SystemParams, hamiltonian_coefficients, hamiltonian_terms
 
 STEADY_RESIDUAL_TOL = 1e-10
 
+# largest trace drift an evolution may show, relative to max(1, |tr ρ₀|); L
+# preserves the trace exactly, so drift is rounding amplified by expm's squarings
+EVOLVE_TRACE_TOL = 1e-9
+
 # ε of the drive-order balancing; a power of two, so scaling by it is exact
 BALANCE = 0.5
 
@@ -227,7 +231,8 @@ def evolve(liouv: np.ndarray, rho0: np.ndarray, times: np.ndarray) -> np.ndarray
 
     `rho0` must be Hermitian, and `times` increasing from the time where `rho0` holds.
     Each step applies the exact propagator expm(L·dt), computed once per
-    distinct step length.
+    distinct step length. A snapshot whose trace drifts from tr ρ₀ by more
+    than EVOLVE_TRACE_TOL · max(1, |tr ρ₀|) raises NumericalError.
     """
     liouv = np.asarray(liouv)
     d = _check_generator(liouv)
@@ -248,7 +253,14 @@ def evolve(liouv: np.ndarray, rho0: np.ndarray, times: np.ndarray) -> np.ndarray
                 propagators.clear()
             propagators[step] = expm(liouv * step)
         vecs.append(propagators[step] @ vecs[-1])
-    return unvectorize(np.stack(vecs), d)
+    vecs = np.stack(vecs)
+    traces = vecs @ _layout(d).trace
+    drift = np.abs(traces - traces[0])
+    lost = np.flatnonzero(~(drift <= EVOLVE_TRACE_TOL * max(1.0, abs(traces[0]))))  # NaN counts as lost
+    if lost.size:
+        k = lost[0]
+        raise NumericalError(f"propagation lost the trace: drift {drift[k]:.3e} at t = {times[k]:.6g}")
+    return unvectorize(vecs, d)
 
 
 def fock_populations(rho: np.ndarray, space: Space) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command-line behavior: flags, configs, outputs, exit codes."""
 import json
+import math
 import os
 import re
 import shlex
@@ -63,6 +64,23 @@ def test_steady_writes_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["values"]["log10_g2"] == pytest.approx(-7.1922697, abs=1e-6)
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["steady", "--scenario", "B", "--g-ms-tilde", "50.1", "--delta", "25.05", "--omega-d", "0", "--kappa", "0.5"], 2),
+    (["analytic", "--omega-s", "0.06", "--omega-d", "0.01", "--delta", "1"], 0),  # g_ms = 0
+], ids=["dark-steady", "analytic-no-coupling"])
+def test_reports_write_zeros_without_sign(capsys, tmp_path, argv, exit_code):
+    csv_path, json_path = tmp_path / "report.csv", tmp_path / "report.json"
+    code, out, _ = run(capsys, *argv, "--out", str(csv_path))
+    assert code == exit_code
+    assert run(capsys, *argv, "--out", str(json_path), "--format", "json")[0] == exit_code
+    zeros = [line for line in out.split("\n") if line.endswith(" = 0")]
+    assert zeros and not any(line.endswith(" = -0") for line in out.split("\n"))
+    rows = dict(line.split(",") for line in csv_path.read_text().split())
+    assert all(rows[line.split(" = ")[0]] == "0" for line in zeros)
+    values = json.loads(json_path.read_text())["values"]
+    assert all(math.copysign(1.0, v) == 1.0 for v in values.values() if v == 0)
 
 
 # ---------------------------------------------------------------- analytic
@@ -144,6 +162,13 @@ def test_evolve_json(capsys, tmp_path):
     doc = json.loads(target.read_text())
     assert doc["axes"][0]["name"] == "time"
     assert len(doc["planes"]["p0"]) == 4
+
+
+def test_evolve_refuses_a_propagator_that_lost_the_trace(capsys, tmp_path):
+    target = tmp_path / "path.csv"
+    code, out, err = run(capsys, "evolve", *BRIGHT, "--t-end", "1e300", "--num", "2", "--out", str(target))
+    assert (code, out) == (2, "") and not target.exists()
+    assert err.startswith("numerical error: propagation lost the trace") and "t = 1e+300" in err
 
 
 # ------------------------------------------------------------------- sweep
@@ -268,10 +293,11 @@ def test_figure_dip_cut_shape(capsys, tmp_path):
     assert len(lines) == 604  # 201 detunings x 3 drive strengths
 
 
-def test_figure_rejects_parameter_flags(capsys):
-    code, _, err = run(capsys, "figure", "fig5a", "--delta", "3.0")
-    assert code == 1
-    assert "canonical" in err
+def test_figure_rejects_parameter_flags(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "figure", "fig5a", "--delta", "3.0")
+    assert code == 1 and out == "" and not any(tmp_path.iterdir())
+    assert err == "error: unrecognized arguments: --delta 3.0\n"
 
 
 def test_figure_rejects_config_parameters(capsys, tmp_path):
@@ -280,7 +306,31 @@ def test_figure_rejects_config_parameters(capsys, tmp_path):
                                    "output": {"path": str(target)}})
     code, out, err = run(capsys, "figure", "--config", cfg)
     assert code == 1 and out == "" and not target.exists()
-    assert err == "error: figure presets are canonical; parameter(s) --kappa-m do not apply\n"
+    assert err == "error: config key(s) params.kappa_m do not apply to the 'figure' subcommand\n"
+
+
+SPECTRUM = ["--omega-m", "7", "--omega-q", "7", "--g", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", *SPECTRUM, "--kappa", "5"],
+    ["spectrum", *SPECTRUM, "--scenario", "B"],
+    ["figure", "fig7", "--delta", "3"],
+], ids=["spectrum-kappa", "spectrum-scenario", "figure-delta"])
+def test_model_flags_only_where_a_model_is_built(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--out", "levels.csv")
+    assert code == 1 and out == "" and err.startswith("error: unrecognized arguments:")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["figure", "spectrum"])
+def test_help_lists_no_model_parameter(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    text = capsys.readouterr().out
+    assert "--delta" not in text and "--scenario" not in text and "model parameters" not in text
 
 
 def test_figure_requires_a_name(capsys):
@@ -369,7 +419,9 @@ _SPLIT = {"delta_m": 9.8, "delta_s": 9.8, "g_ms": 19.6, "omega_s": 0.06,
 EQUIVALENT_RUNS = {
     "steady": ({"params": _SPLIT, "gamma_mhz": 2, "output": {"format": "json"}},
                [*BRIGHT, "--gamma-mhz", "2", "--format", "json"]),
-    "analytic": ({"params": _SPLIT, "gamma_mhz": None, "sweep": None}, BRIGHT),  # null = absent
+    # null = absent, also for a key the command does not take
+    "analytic": ({"params": _SPLIT, "gamma_mhz": None, "sweep": None, "evolve": {"num": None},
+                  "spectrum": None, "figure": None}, BRIGHT),
     "evolve": ({"params": _SPLIT, "evolve": {"t_end": 2, "num": 5}},
                [*BRIGHT, "--t-end", "2", "--num", "5"]),
     "spectrum": ({"spectrum": {"omega_m": 7, "omega_q": 6.5, "g": 2, "n_max": 2},
@@ -414,7 +466,7 @@ def test_config_matches_flags(capsys, tmp_path, command):
     ("sweep", {"sweep": {"axis1": "delta=1", "constraints": 5}}),
     ("sweep", {"sweep": {"axis1": "delta=1", "constraints": [5]}}),
     ("figure", {"figure": ["fig7"]}),
-    # model parameters are checked for every subcommand, also where unused
+    # a key the command does not take is refused, whatever its value
     ("figure", {"figure": "fig7", "params": {"kappa_m": "x"}}),
     ("spectrum", {"params": {"kappa_m": -1}, "spectrum": {"omega_m": 7, "omega_q": 7, "g": 2}}),
 ])
@@ -434,6 +486,47 @@ def test_flag_and_config_values_share_one_check(capsys, tmp_path, argv, doc):
     assert code == 1 and err.startswith("error:") and out == ""
     cfg = _write_config(tmp_path, {"job": argv[0], **doc})
     assert run(capsys, argv[0], "--config", cfg) == (1, "", err)
+
+
+# Each case: a command, a config that runs it, and a key of another command, as the
+# file spells it. The key would be ignored, so the run is refused before it starts.
+_STEADY = {"params": _SPLIT}
+STRAY_KEYS = {
+    "steady-sweep": ("steady", _STEADY, {"sweep": {"quantity": "bogus", "axis1": 7}}, "sweep.quantity, sweep.axis1"),
+    "steady-evolve": ("steady", _STEADY, {"evolve": {"t_end": 5}}, "evolve.t_end"),
+    "steady-spectrum": ("steady", _STEADY, {"spectrum": {"g": 3}}, "spectrum.g"),
+    "steady-figure": ("steady", _STEADY, {"figure": "fig99"}, "figure"),
+    "analytic": ("analytic", _STEADY, {"evolve": {"num": 3}}, "evolve.num"),
+    "evolve": ("evolve", _STEADY, {"sweep": {"constraints": ["delta = g_ms/2"]}}, "sweep.constraints"),
+    "sweep": ("sweep", {"sweep": {"axis1": "delta=1"}}, {"figure": "fig7"}, "figure"),
+    "figure": ("figure", {"figure": "fig7"}, {"spectrum": {"n_max": 2}}, "spectrum.n_max"),
+    "spectrum": ("spectrum", {"spectrum": {"omega_m": 7, "omega_q": 7, "g": 2}},
+                 {"params": {"delta_m": 1, "scenario": "B"}}, "params.delta_m, params.scenario"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_KEYS))
+def test_config_rejects_keys_of_other_commands(capsys, tmp_path, case):
+    command, doc, stray, named = STRAY_KEYS[case]
+    target = tmp_path / "result.csv"
+    assert run(capsys, command, "--config", _write_config(tmp_path, {**doc, "output": {"path": str(target)}}))[0] == 0
+    target.unlink()
+    cfg = _write_config(tmp_path, {"job": command, **doc, **stray, "output": {"path": str(target)}})
+    code, out, err = run(capsys, command, "--config", cfg)
+    assert (code, out) == (1, "") and not target.exists()
+    assert err == f"error: config key(s) {named} do not apply to the {command!r} subcommand\n"
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["steady", *BRIGHT, "--n", "0.1"], {"params": {"n": 0.1}}),
+    (["steady", *BRIGHT, "--fock", "4"], {"params": {"fock": 4}}),
+    (["evolve", *BRIGHT, "--t", "2"], {"evolve": {"t": 2}}),
+], ids=["n_th", "fock_dim", "t_end"])
+def test_flags_and_config_keys_are_never_abbreviated(capsys, tmp_path, argv, doc):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("error: unrecognized arguments:")
+    code, out, err = run(capsys, argv[0], "--config", _write_config(tmp_path, doc))
+    assert (code, out) == (1, "") and err.startswith("error: unknown key(s)")
 
 
 def test_config_output_path_must_be_a_string(capsys, tmp_path):

@@ -6,11 +6,13 @@ oscillator quanta). With the ground amplitude pinned at 1, the remaining
 four amplitudes obey a linear complex system built from the non-Hermitian
 Hamiltonian. Three routes to those amplitudes live here:
 
-* closed-form expressions (scenario A),
+* closed-form expressions (scenario A), for single points and parameter
+  arrays alike,
 * a direct LU solve of the projected linear system (the oracle),
 * exact-propagator time evolution of the same system.
 
-g²(0) follows from the two-quantum amplitude: 2|c_g2|² / |c_g1|⁴.
+g²(0) follows from the two-quantum amplitude: 2|c_g2|² / |c_g1|⁴. The
+cascade is a zero-temperature model: every route rejects n_th ≠ 0.
 """
 
 from __future__ import annotations
@@ -54,9 +56,12 @@ class AmplitudeTrajectory:
         return AmplitudeSet(*self.amplitudes[-1])
 
 
-def _require_scenario_a(params: SystemParams, what: str) -> None:
+def _require_cascade(params: SystemParams, what: str) -> None:
+    """The amplitude cascade models scenario A at zero temperature only."""
     if params.scenario != "A":
         raise ParameterError(f"{what} is defined for scenario A only (got scenario {params.scenario!r})")
+    if params.n_th != 0.0:
+        raise ParameterError(f"{what} has no thermal bath; n_th must be 0, got {params.n_th!r}")
 
 
 def reduced_matrix(params: SystemParams) -> np.ndarray:
@@ -68,7 +73,7 @@ def reduced_matrix(params: SystemParams) -> np.ndarray:
     one-quantum amplitudes: the perturbative hierarchy treats each manifold
     as driven only from below, so rows 1-2 keep no couplings to states 3-4.
     """
-    _require_scenario_a(params, "the reduced amplitude system")
+    _require_cascade(params, "the reduced amplitude system")
     # the five retained states hold at most two quanta, so three levels suffice
     space = Space(3)
     h = build_h_nonhermitian(params.replace(fock_dim=3))
@@ -78,35 +83,90 @@ def reduced_matrix(params: SystemParams) -> np.ndarray:
     return m
 
 
+# The closed form below works on complex numbers held as (re, im) pairs of
+# floats or of float64 arrays. It uses only + - * /, which are correctly
+# rounded for Python floats and numpy ufuncs alike, so an array element
+# equals the single-point result bit for bit (complex division, hypot and pow
+# would not: numpy and CPython implement them differently).
+
+# chi or the pair term below 1e-14 of chi's largest part is singular; compared squared
+_SINGULAR_REL2 = 1e-28
+# g2 is undefined where |c_g1|⁴ falls below this
+_G2_FLOOR = 1e-300
+_SQRT2 = math.sqrt(2.0)
+
+
+def _mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _abs2(x):
+    return x[0] * x[0] + x[1] * x[1]
+
+
+def _div(x, y):
+    d = _abs2(y)
+    return (x[0] * y[0] + x[1] * y[1]) / d, (x[1] * y[0] - x[0] * y[1]) / d
+
+
+def _cascade(f):
+    """Numerators and denominators of the closed-form amplitudes.
+
+    `f` maps field names to floats or to float64 arrays. Returns `singular`
+    and a (numerator, denominator) pair for each of c_e0, c_g1, c_e1, c_g2.
+    """
+    g, om_s, om_d = f["g_ms"], f["omega_s"], f["omega_d"]
+    dm = (f["delta_m"], -0.5 * f["kappa_m"])
+    ds = (f["delta_s"], -0.5 * f["kappa_s"])
+    gg = g * g
+    dmds = _mul(dm, ds)
+    chi = (gg - 4.0 * dmds[0], -4.0 * dmds[1])  # g² - 4 dm ds
+    a = (2.0 * dm[0], 2.0 * dm[1])
+    b = (dm[0] + ds[0], dm[1] + ds[1])
+    dd = (4.0 * ds[0] * om_d - om_s * g, 4.0 * ds[1] * om_d)  # 4 ds om_d - om_s g
+    e = (2.0 * dm[0] * om_s - 2.0 * om_d * g, 2.0 * dm[1] * om_s)  # 2 dm om_s - 2 om_d g
+    ab = _mul(a, b)
+    pair = (2.0 * ab[0] - gg, 2.0 * ab[1])  # 2ab - g²
+
+    chi2, pair2 = _abs2(chi), _abs2(pair)
+    singular = False
+    for part2 in (1.0, 16.0 * _abs2(dmds), gg * gg):
+        floor = _SINGULAR_REL2 * part2
+        singular = singular | (chi2 < floor) | (pair2 < floor)
+
+    # c_e1 = (-a om_s dd - 2a om_d e + 2g om_d dd) / (chi pair)
+    t1 = _mul((-a[0] * om_s, -a[1] * om_s), dd)
+    t2 = _mul((2.0 * a[0] * om_d, 2.0 * a[1] * om_d), e)
+    w = 2.0 * g * om_d
+    n_e1 = (t1[0] - t2[0] + w * dd[0], t1[1] - t2[1] + w * dd[1])
+    # c_g2 = (-2√2 b cc + om_s dd g + 2 om_d e g) / (√2 chi pair), cc = √2 om_d dd
+    k = -2.0 * _SQRT2
+    cc = (_SQRT2 * om_d * dd[0], _SQRT2 * om_d * dd[1])
+    t3 = _mul((k * b[0], k * b[1]), cc)
+    u = 2.0 * om_d
+    n_g2 = (t3[0] + om_s * dd[0] * g + u * e[0] * g, t3[1] + om_s * dd[1] * g + u * e[1] * g)
+    den = _mul((chi[0] * _SQRT2, chi[1] * _SQRT2), pair)
+    # c_e0 = e / chi, c_g1 = dd / chi
+    return singular, ((e, chi), (dd, chi), (n_e1, _mul(chi, pair)), (n_g2, den))
+
+
+def _g2_terms(c_g1, c_g2):
+    """Numerator 2|c_g2|² and denominator |c_g1|⁴ of g²(0)."""
+    n1 = _abs2(c_g1)
+    return 2.0 * _abs2(c_g2), n1 * n1
+
+
 def closed_form_amplitudes(params: SystemParams) -> AmplitudeSet:
     """Exact steady solution of the five-state system in closed form.
 
-    Valid for scenario A. Raises NumericalError where the expressions
-    degenerate (possible only when both decay rates vanish).
+    Valid for scenario A without a thermal bath. Raises NumericalError where
+    the expressions degenerate (possible only when both decay rates vanish).
     """
-    _require_scenario_a(params, "closed_form_amplitudes")
-    g = params.g_ms
-    om_s = params.omega_s
-    om_d = params.omega_d
-    dm = params.delta_m - 0.5j * params.kappa_m
-    ds = params.delta_s - 0.5j * params.kappa_s
-
-    chi = -4.0 * dm * ds + g * g
-    a = 2.0 * dm
-    b = dm + ds
-    dd = 4.0 * ds * om_d - om_s * g
-    e = -2.0 * om_d * g + 2.0 * dm * om_s
-    cc = math.sqrt(2.0) * om_d * dd
-    pair = 2.0 * a * b - g * g
-
-    scale = max(1.0, abs(4.0 * dm * ds), g * g)
-    if abs(chi) < 1e-14 * scale or abs(pair) < 1e-14 * scale:
+    _require_cascade(params, "closed_form_amplitudes")
+    singular, fractions = _cascade(vars(params))
+    if singular:
         raise NumericalError("closed-form amplitudes are singular at these parameters")
-
-    c_e0 = e / chi
-    c_g1 = dd / chi
-    c_e1 = (-a * om_s * dd - 2.0 * a * om_d * e + 2.0 * g * om_d * dd) / (chi * pair)
-    c_g2 = (-2.0 * math.sqrt(2.0) * b * cc + om_s * dd * g + 2.0 * om_d * e * g) / (chi * math.sqrt(2.0) * pair)
+    c_e0, c_g1, c_e1, c_g2 = (complex(*_div(num, den)) for num, den in fractions)
     return AmplitudeSet(c_g0=1.0 + 0.0j, c_e0=c_e0, c_g1=c_g1, c_e1=c_e1, c_g2=c_g2)
 
 
@@ -150,15 +210,29 @@ def evolve_amplitudes(params: SystemParams, t_end: float, dt: float) -> Amplitud
 
 def amplitude_g2(amps: AmplitudeSet) -> float:
     """g²(0) from steady amplitudes: 2|c_g2|² / |c_g1|⁴."""
-    denom = abs(amps.c_g1) ** 4
-    if denom < 1e-300:
+    num, den = _g2_terms((amps.c_g1.real, amps.c_g1.imag), (amps.c_g2.real, amps.c_g2.imag))
+    if den < _G2_FLOOR:
         raise NumericalError("g2 is undefined: single-quantum amplitude vanishes")
-    return 2.0 * abs(amps.c_g2) ** 2 / denom
+    return float(num / den)
 
 
 def analytic_g2(params: SystemParams) -> float:
-    """Perturbative equal-time second-order correlation (scenario A)."""
+    """Perturbative equal-time second-order correlation (scenario A, n_th = 0)."""
     return amplitude_g2(closed_form_amplitudes(params))
+
+
+def analytic_g2_array(fields) -> np.ndarray:
+    """`analytic_g2` over arrays of parameters, equal to it element by element.
+
+    `fields` maps the SystemParams field names to float64 arrays that
+    broadcast against each other. They must be valid scenario-A points with
+    n_th = 0; nothing is validated here. NaN marks a point where
+    `analytic_g2` raises NumericalError (singular closed form or undefined g2).
+    """
+    with np.errstate(all="ignore"):
+        singular, (_, (n1, d1), _, (n2, d2)) = _cascade(fields)
+        num, den = _g2_terms(_div(n1, d1), _div(n2, d2))
+        return np.where(singular | (den < _G2_FLOOR), np.nan, num / den)
 
 
 def optimal_detuning(g: float) -> tuple[float, float]:

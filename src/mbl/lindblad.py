@@ -162,10 +162,8 @@ def _liouvillian_terms(space: Space) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _liouvillian_coefficients(params: SystemParams) -> np.ndarray:
-    if params.scenario == "A":
-        loss, gain = 0.5 * params.kappa_m * (params.n_th + 1.0), 0.5 * params.kappa_m * params.n_th
-    else:
-        loss, gain = 0.5 * params.kappa_m, 0.0
+    # scenario B has n_th = 0 by validation, so its gain term vanishes
+    loss, gain = 0.5 * params.kappa_m * (params.n_th + 1.0), 0.5 * params.kappa_m * params.n_th
     return np.concatenate([hamiltonian_coefficients(params), [loss, gain, 0.5 * params.kappa_s]])
 
 
@@ -174,7 +172,7 @@ def build_liouvillian(params: SystemParams) -> np.ndarray:
 
     Scenario A: oscillator loss at (kappa_m/2)(n_th + 1), oscillator thermal
     excitation at (kappa_m/2) n_th, two-level decay at kappa_s/2.
-    Scenario B: the two loss channels only (n_th is not used).
+    Scenario B: the two loss channels only (its n_th is 0 by validation).
     The operator terms come from a table cached per truncation; each call
     returns a fresh array.
     """

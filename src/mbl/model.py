@@ -5,8 +5,11 @@ Two driving scenarios share one rotating-frame parameter container:
 * scenario "A": the two-level system is a dressed qubit driven directly
   (amplitude omega_s) while a weak probe (amplitude omega_d) drives the
   oscillator mode; exchange coupling g_ms.
-* scenario "B": probe drive only, exchange coupling g_ms_tilde; omega_s
-  must be zero.
+* scenario "B": probe drive only, exchange coupling g_ms_tilde, and no
+  thermal bath.
+
+A field the scenario has no term for (`UNUSED_FIELDS`) must be zero, so no
+input is silently ignored.
 
 Energies are in units of a reference rate gamma. The two-level term is
 written with the upper-level projector so the ground product state sits at
@@ -41,6 +44,11 @@ SWEEPABLE_FIELDS = (
     "n_th",
 )
 
+NONNEGATIVE_FIELDS = ("g_ms", "g_ms_tilde", "omega_s", "omega_d", "kappa_m", "kappa_s", "n_th")
+
+# fields a scenario has no term for; they must be 0 there
+UNUSED_FIELDS = {"A": ("g_ms_tilde",), "B": ("g_ms", "omega_s", "n_th")}
+
 
 def finite_real(name: str, value) -> float:
     """`value` as a float; ParameterError unless it is a finite int or float (bools excluded)."""
@@ -60,8 +68,7 @@ class SystemParams:
     omega_d          : probe drive amplitude on the oscillator
     kappa_m, kappa_s : oscillator / two-level decay rates (>= 0; steady
                        states are unique only for > 0)
-    n_th             : thermal occupation of the oscillator bath (scenario A;
-                       scenario B has no thermal channel and ignores it)
+    n_th             : thermal occupation of the oscillator bath (scenario A)
     scenario         : "A" or "B"
     fock_dim         : oscillator truncation (levels 0 .. fock_dim-1)
     """
@@ -81,13 +88,15 @@ class SystemParams:
     def __post_init__(self) -> None:
         for name in SWEEPABLE_FIELDS:
             object.__setattr__(self, name, finite_real(name, getattr(self, name)))
-        for name in ("g_ms", "g_ms_tilde", "omega_s", "omega_d", "kappa_m", "kappa_s", "n_th"):
+        for name in NONNEGATIVE_FIELDS:
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.scenario not in SCENARIOS:
             raise ParameterError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.scenario == "B" and self.omega_s != 0.0:
-            raise ParameterError("scenario B has no direct two-level drive; omega_s must be 0")
+        for name in UNUSED_FIELDS[self.scenario]:
+            if getattr(self, name) != 0.0:
+                raise ParameterError(f"scenario {self.scenario} has no {name} term; {name} must be 0, "
+                                     f"got {getattr(self, name)}")
         if not isinstance(self.fock_dim, int) or isinstance(self.fock_dim, bool) or self.fock_dim < 2:
             raise ParameterError(f"fock_dim must be an integer >= 2, got {self.fock_dim!r}")
 
@@ -101,6 +110,25 @@ class SystemParams:
 
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)
+
+
+def invalid_mask(fields, scenario: str) -> np.ndarray:
+    """Where `SystemParams` of `scenario` would reject a point given as arrays.
+
+    `fields` maps every name in SWEEPABLE_FIELDS to a float64 array; the
+    arrays broadcast against each other. The mask mirrors the checks of
+    `SystemParams.__post_init__`: non-finite values, negative rates and
+    nonzero fields the scenario does not use.
+    """
+    bad = np.zeros(np.broadcast_shapes(*(np.shape(fields[name]) for name in SWEEPABLE_FIELDS)), dtype=bool)
+    for name in SWEEPABLE_FIELDS:
+        value = fields[name]
+        bad |= ~np.isfinite(value)
+        if name in NONNEGATIVE_FIELDS:
+            bad |= value < 0.0
+        if name in UNUSED_FIELDS[scenario]:
+            bad |= value != 0.0
+    return bad
 
 
 @functools.lru_cache(maxsize=8)

@@ -7,9 +7,14 @@ re-derive dependent fields at every grid point; a rule reads axis and base
 values only, never a field another rule sets.
 
 Grid points are independent; failures at individual points are recorded and
-never abort the grid. Cells are evaluated one after another by the same
-`evaluate_point` a single-point call uses, so each cell equals that call
-and reruns are bit-identical.
+never abort the grid. Closed-form columns are computed for blocks of rows
+at once by `analytic_g2_array`, the single-point closed form run on arrays,
+so each cell equals `analytic_g2` bit for bit. Cells with invalid
+parameters or a singular or undefined closed form, and all numeric
+columns, go one after another through the `evaluate_point` a single-point
+call uses, so failures carry the same tags and reruns are bit-identical.
+The closed-form route has no thermal bath, so its quantities reject a
+sweep with n_th ≠ 0.
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import analytic_g2
+from .analytic import analytic_g2, analytic_g2_array
 from .core import projector
 from .errors import NumericalError, ParameterError
 from .lindblad import build_liouvillian, evolve, fock_populations, g2_from_populations, g2_zero, steady_state
-from .model import SWEEPABLE_FIELDS, SystemParams, finite_real
+from .model import SWEEPABLE_FIELDS, SystemParams, finite_real, invalid_mask
 
 AXIS_ALIASES: dict[str, tuple[str, ...]] = {
     "delta": ("delta_m", "delta_s"),
@@ -33,6 +38,10 @@ AXIS_ALIASES: dict[str, tuple[str, ...]] = {
 }
 
 QUANTITIES = ("g2_numeric", "g2_analytic", "both_g2", "populations")
+
+# grid cells per array pass of the closed form; a whole-grid pass would hold
+# dozens of grid-sized temporaries at once
+_BLOCK_CELLS = 1024
 
 # populations tracked as sweep/evolution outputs
 N_POPULATION_COLUMNS = 4
@@ -123,7 +132,8 @@ class Constraint:
                 scale = finite_real(f"constraint {rule!r}: scale", 1.0 / scale)
         return cls(target=target, source=source, scale=scale, offset_literal=None)
 
-    def apply(self, fields: dict[str, float]) -> None:
+    def apply(self, fields: dict) -> None:
+        """Set the target in `fields`, whose values are floats or float64 arrays."""
         value = self.offset_literal if self.source is None else fields[self.source] * self.scale
         for name in _expand_param_name(self.target):
             fields[name] = value
@@ -139,6 +149,8 @@ class SweepSpec:
     quantity: str = "g2_numeric"
     constraints: tuple[str, ...] = ()
     _rules: tuple[Constraint, ...] = field(init=False, repr=False, compare=False)
+    # every SWEEPABLE_FIELDS value over the grid: read-only views of shape `shape`
+    _grid: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.quantity not in QUANTITIES:
@@ -164,8 +176,25 @@ class SweepSpec:
             other = rule_targets.get(parsed.source, rule)
             if other != rule:
                 raise ParameterError(f"constraint {rule!r} reads {parsed.source!r}, which constraint {other!r} sets")
-        if self.quantity in ("g2_analytic", "both_g2") and self.base.scenario != "A":
-            raise ParameterError(f"quantity {self.quantity!r} needs the closed-form route, which is scenario A only")
+        if self.quantity in ("g2_analytic", "both_g2"):
+            if self.base.scenario != "A":
+                raise ParameterError(f"quantity {self.quantity!r} needs the closed-form route, which is scenario A only")
+            if self.base.n_th != 0.0 or "n_th" in setters:
+                raise ParameterError(f"quantity {self.quantity!r} needs the closed-form route, which has no thermal "
+                                     "bath; n_th must be 0 and set by no axis or constraint")
+        object.__setattr__(self, "_grid", self._field_grid())
+
+    def _field_grid(self) -> dict[str, np.ndarray]:
+        """Each field over the grid, by the same float arithmetic a cell-by-cell rule would use."""
+        n1, n2 = self.shape
+        grid = {name: np.full((1, 1), getattr(self.base, name)) for name in SWEEPABLE_FIELDS}
+        for axis, shape in ((self.axis1, (n1, 1)), (self.axis2, (1, n2))):
+            if axis is not None:
+                for name in _expand_param_name(axis.name):
+                    grid[name] = axis.as_array().reshape(shape)
+        for rule in self._rules:
+            rule.apply(grid)
+        return {name: np.broadcast_to(value, (n1, n2)) for name, value in grid.items()}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -180,15 +209,7 @@ class SweepSpec:
 
     def params_at(self, i: int, j: int = 0) -> SystemParams:
         """Parameters at grid index (i, j) with constraints applied."""
-        fields = {name: getattr(self.base, name) for name in SWEEPABLE_FIELDS}
-        for name in _expand_param_name(self.axis1.name):
-            fields[name] = self.axis1.values[i]
-        if self.axis2 is not None:
-            for name in _expand_param_name(self.axis2.name):
-                fields[name] = self.axis2.values[j]
-        for rule in self._rules:
-            rule.apply(fields)
-        return self.base.replace(**fields)
+        return self.base.replace(**{name: float(values[i, j]) for name, values in self._grid.items()})
 
 
 class GridMinimum(NamedTuple):
@@ -238,21 +259,46 @@ def evaluate_point(params: SystemParams, quantity: str) -> dict[str, float]:
     return out
 
 
+def _closed_form_pass(spec: SweepSpec, plane: np.ndarray) -> np.ndarray:
+    """Fill `plane` with `analytic_g2` by blocks of rows; returns the cells it filled.
+
+    A cell is left out where its parameters are invalid or its value is not
+    a positive finite correlation, so `evaluate_point` can fail it exactly
+    as a single-point call does.
+    """
+    n1, n2 = spec.shape
+    done = np.zeros((n1, n2), dtype=bool)
+    rows = max(1, _BLOCK_CELLS // n2)
+    for start in range(0, n1, rows):
+        block = {name: values[start:start + rows] for name, values in spec._grid.items()}
+        g2 = analytic_g2_array(block)
+        ok = ~invalid_mask(block, spec.base.scenario) & np.isfinite(g2) & (g2 > 0.0)
+        plane[start:start + rows][ok] = g2[ok]
+        done[start:start + rows] = ok
+    return done
+
+
 def run_sweep(spec: SweepSpec) -> ResultGrid:
     """Evaluate the grid. Point failures are recorded, not raised."""
     n1, n2 = spec.shape
     columns = spec.column_names()
     planes = {name: np.full((n1, n2), np.nan) for name in columns}
+    done = np.zeros((n1, n2), dtype=bool)
+    if "g2_analytic" in columns:
+        done = _closed_form_pass(spec, planes["g2_analytic"])
+    todo = ~done if spec.quantity == "g2_analytic" else np.ones((n1, n2), dtype=bool)
     failures: list[tuple[tuple[int, int], str]] = []
-    for i in range(n1):
-        for j in range(n2):
-            try:
-                values = evaluate_point(spec.params_at(i, j), spec.quantity)
-            except (ParameterError, NumericalError, np.linalg.LinAlgError) as exc:
-                failures.append(((i, j), f"{type(exc).__name__}: {str(exc)[:160]}"))
-                continue
-            for name in columns:
-                planes[name][i, j] = values[name]
+    for i, j in np.argwhere(todo).tolist():  # C order, as the failure list is kept
+        # a both_g2 cell the array pass filled still needs its numeric column
+        try:
+            values = evaluate_point(spec.params_at(i, j), "g2_numeric" if done[i, j] else spec.quantity)
+        except (ParameterError, NumericalError, np.linalg.LinAlgError) as exc:
+            failures.append(((i, j), f"{type(exc).__name__}: {str(exc)[:160]}"))
+            for plane in planes.values():
+                plane[i, j] = np.nan
+            continue
+        for name, value in values.items():
+            planes[name][i, j] = value
     return ResultGrid(spec=spec, planes=planes, failures=failures)
 
 

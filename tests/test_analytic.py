@@ -3,12 +3,17 @@
 The reference amplitudes below were produced by an independent 30-digit
 mpmath solve of the same truncated cascade (ground amplitude pinned at 1,
 no feedback from the two-quantum manifold onto the one-quantum rows).
+Each point carries the closed form's error budget, relative, for the
+amplitudes and for g2: a few times the error measured, which is the same
+on every IEEE-754 host since the closed form uses only + - * /. Budgets
+may only tighten.
 """
 import numpy as np
 import pytest
 
 from mbl.analytic import (STATE_NAMES, STATE_ORDER, amplitude_g2, analytic_g2,
-                          closed_form_amplitudes, evolve_amplitudes,
+                          analytic_g2_array, closed_form_amplitudes,
+                          evolve_amplitudes,
                           optimal_detuning, reduced_matrix,
                           solve_steady_linear)
 from mbl.errors import NumericalError, ParameterError
@@ -25,6 +30,7 @@ ORACLE = [
             "c_g2": -2.94205622207419194e-6 - 1.06979222041419889e-7j,
         },
         5.48467413118217571e-8,
+        (2e-14, 2e-15),  # measured 4.6e-15, 3.6e-16
         id="deep_dip",
     ),
     pytest.param(
@@ -37,6 +43,7 @@ ORACLE = [
             "c_g2": -0.0000338444732697265396 - 0.00115355912201957902j,
         },
         0.000526766314546096021,
+        (2e-14, 3e-15),  # measured 3.5e-15, 6.2e-16
         id="mirror_dip",
     ),
     pytest.param(
@@ -49,6 +56,7 @@ ORACLE = [
             "c_g2": -2.81584231261914293e-6 - 6.90878517427810078e-7j,
         },
         0.000105078513192244677,
+        (1e-14, 5e-15),  # measured 2.1e-15, 1.4e-15
         id="broad_lines",
     ),
     pytest.param(
@@ -61,7 +69,23 @@ ORACLE = [
             "c_g2": 0.0000342408405363206084 + 3.28700549001264541e-7j,
         },
         1.04388450924729666,
+        (3e-15, 4e-15),  # measured 6.2e-16, 8.5e-16
         id="asymmetric",
+    ),
+    pytest.param(
+        # on the dip track delta = g_ms/2 at a narrow linewidth, where the
+        # terms of the c_g2 numerator cancel
+        dict(delta_m=9.05, delta_s=9.05, g_ms=18.1, omega_s=0.06,
+             omega_d=0.01, kappa_m=0.07, kappa_s=0.07),
+        {
+            "c_e0": -0.00110496824399102919448 - 0.285716422393210512794j,
+            "c_g1": -0.00110496824399102919448 + 0.285712149035360823731j,
+            "c_e1": 6.10389313210879158745e-6 - 0.000315633214775301813757j,
+            "c_g2": -3.45251026392559733893e-6 - 6.34276483303104738606e-8j,
+        },
+        3.57864553799893124402e-9,
+        (2e-13, 1e-14),  # measured 4.9e-14, 1.7e-15
+        id="dip_track",
     ),
 ]
 
@@ -71,18 +95,19 @@ def test_state_layout():
     assert STATE_NAMES == ("c_g0", "c_e0", "c_g1", "c_e1", "c_g2")
 
 
-@pytest.mark.parametrize("kw, expected, g2", ORACLE)
-def test_closed_form_matches_oracle(kw, expected, g2):
+@pytest.mark.parametrize("kw, expected, g2, budget", ORACLE)
+def test_closed_form_matches_oracle(kw, expected, g2, budget):
+    amps_budget, g2_budget = budget
     amps = closed_form_amplitudes(SystemParams(**kw))
     assert amps.c_g0 == 1.0
     for name, want in expected.items():
         got = getattr(amps, name)
-        assert abs(got - want) <= 1e-12 * abs(want), name
-    assert amplitude_g2(amps) == pytest.approx(g2, rel=1e-12)
+        assert abs(got - want) <= amps_budget * abs(want), name
+    assert abs(amplitude_g2(amps) - g2) <= g2_budget * g2
 
 
-@pytest.mark.parametrize("kw, expected, g2", ORACLE)
-def test_linear_solve_matches_oracle(kw, expected, g2):
+@pytest.mark.parametrize("kw, expected, g2, budget", ORACLE)
+def test_linear_solve_matches_oracle(kw, expected, g2, budget):
     amps = solve_steady_linear(SystemParams(**kw))
     for name, want in expected.items():
         got = getattr(amps, name)
@@ -90,8 +115,8 @@ def test_linear_solve_matches_oracle(kw, expected, g2):
     assert amplitude_g2(amps) == pytest.approx(g2, rel=1e-12)
 
 
-@pytest.mark.parametrize("kw, expected, g2", ORACLE)
-def test_linear_solve_residual(kw, expected, g2):
+@pytest.mark.parametrize("kw, expected, g2, budget", ORACLE)
+def test_linear_solve_residual(kw, expected, g2, budget):
     # the solved vector must actually satisfy the pinned system
     params = SystemParams(**kw)
     m = reduced_matrix(params)
@@ -152,6 +177,44 @@ def test_scenario_b_rejected():
             fn(p)
     with pytest.raises(ParameterError):
         evolve_amplitudes(p, 10.0, 0.01)
+
+
+def test_thermal_bath_rejected(bright_params):
+    # the cascade is a zero-temperature model: a bath occupation is refused, not ignored
+    p = bright_params.replace(n_th=5.0)
+    for fn in (closed_form_amplitudes, solve_steady_linear, analytic_g2):
+        with pytest.raises(ParameterError, match="n_th"):
+            fn(p)
+    with pytest.raises(ParameterError, match="n_th"):
+        evolve_amplitudes(p, 10.0, 0.01)
+    # the truncation plays no part in the five-state cascade
+    assert analytic_g2(bright_params.replace(fock_dim=2)) == analytic_g2(bright_params)
+
+
+def test_array_kernel_matches_single_point():
+    rng = np.random.default_rng(20101)
+    n = 400
+    fields = dict(delta_m=rng.uniform(-20, 20, n), delta_s=rng.uniform(-20, 20, n),
+                  g_ms=rng.uniform(0, 30, n), omega_s=rng.uniform(0, 0.1, n),
+                  omega_d=rng.uniform(0, 0.02, n), kappa_m=rng.uniform(0, 1.5, n),
+                  kappa_s=rng.uniform(0, 1.5, n))
+    # a dip-tracked stretch, a singular stretch (no loss at delta = g/2) and a dark stretch
+    fields["delta_m"][:100] = fields["delta_s"][:100] = fields["g_ms"][:100] / 2
+    fields["kappa_m"][100:150] = fields["kappa_s"][100:150] = 0.0
+    fields["delta_m"][100:150] = fields["delta_s"][100:150] = fields["g_ms"][100:150] / 2
+    fields["omega_s"][150:200] = fields["omega_d"][150:200] = 0.0
+    got = analytic_g2_array(fields)
+    failed = 0
+    for k in range(n):
+        p = SystemParams(**{name: float(values[k]) for name, values in fields.items()})
+        try:
+            want = analytic_g2(p)
+        except NumericalError:
+            failed += 1
+            assert np.isnan(got[k]), k
+            continue
+        assert got[k] == want, k
+    assert failed == 100
 
 
 def test_weak_drive_hierarchy(bright_params):

@@ -103,6 +103,30 @@ def test_analytic_rejects_beam_splitter_layout(capsys):
     assert err.startswith("error:")
 
 
+def test_analytic_rejects_thermal_bath(capsys):
+    # the closed form has no bath to put an occupation on
+    code, out, err = run(capsys, "analytic", *BRIGHT, "--n-th", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "n_th" in err
+    code, out, err = run(capsys, "sweep", *BRIGHT, "--axis1", "g_ms:1:30:5", "--quantity", "g2_analytic",
+                         "--n-th", "0.5")
+    assert (code, out) == (1, "") and "no thermal bath" in err
+    # the truncation does not enter it
+    assert run(capsys, "analytic", *BRIGHT, "--fock-dim", "2")[:2] == run(capsys, "analytic", *BRIGHT)[:2]
+
+
+@pytest.mark.parametrize("extra, field", [
+    (["--g-ms", "7"], "g_ms"), (["--n-th", "3"], "n_th"), (["--omega-s", "0.06"], "omega_s"),
+], ids=["g_ms", "n_th", "omega_s"])
+def test_steady_rejects_fields_scenario_b_ignores(capsys, extra, field):
+    argv = ["steady", "--scenario", "B", "--g-ms-tilde", "50.1", "--delta", "25.05", "--omega-d", "0.01",
+            "--kappa", "0.5"]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, *extra)
+    assert (code, out) == (1, "")
+    assert err == f"error: scenario B has no {field} term; {field} must be 0, got {float(extra[1])}\n"
+
+
 def test_analytic_split_detuning_flags_match_alias(capsys):
     _, combined, _ = run(capsys, "analytic", *BRIGHT)
     _, split, _ = run(capsys, "analytic", "--delta-m", "9.8", "--delta-s",

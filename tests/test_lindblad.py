@@ -75,6 +75,11 @@ def test_term_table_matches_direct_build(scenario, thermal, fock_dim):
             kw.update(g_ms=rng.uniform(0, 30), omega_s=rng.uniform(0, 1))
         else:
             kw.update(g_ms_tilde=rng.uniform(0, 60))
+            # scenario B has no thermal bath: a thermal occupation is refused, not ignored
+            if thermal:
+                with pytest.raises(ParameterError, match="n_th"):
+                    SystemParams(**kw)
+                kw["n_th"] = 0.0
         p = SystemParams(**kw)
         d = p.space().total_dim
         h_ref, liouv_ref = reference_build(p)

@@ -4,8 +4,8 @@ import pytest
 
 from mbl.core import Space, annihilation, qubit_ops
 from mbl.errors import ParameterError
-from mbl.model import (SystemParams, build_h_eff,
-                       build_h_nonhermitian, dressed_spectrum)
+from mbl.model import (SWEEPABLE_FIELDS, SystemParams, build_h_eff,
+                       build_h_nonhermitian, dressed_spectrum, invalid_mask)
 
 
 # ---------------------------------------------------------------- parameters
@@ -56,10 +56,35 @@ def test_zero_linewidth_allowed():
 
 
 def test_coupling_selects_by_scenario():
-    a = SystemParams(scenario="A", g_ms=19.6, g_ms_tilde=3.0)
-    b = SystemParams(scenario="B", g_ms=19.6, g_ms_tilde=50.1)
+    a = SystemParams(scenario="A", g_ms=19.6)
+    b = SystemParams(scenario="B", g_ms_tilde=50.1)
     assert a.coupling == 19.6
     assert b.coupling == 50.1
+
+
+@pytest.mark.parametrize("scenario, field", [("A", "g_ms_tilde"), ("B", "g_ms"), ("B", "omega_s"), ("B", "n_th")])
+def test_rejects_fields_the_scenario_ignores(scenario, field):
+    with pytest.raises(ParameterError) as info:
+        SystemParams(scenario=scenario, **{field: 3.0})
+    assert str(info.value) == f"scenario {scenario} has no {field} term; {field} must be 0, got 3.0"
+    # a zero is what the scenario models anyway
+    assert getattr(SystemParams(scenario=scenario, **{field: 0.0}), field) == 0.0
+
+
+def test_invalid_mask_mirrors_validation():
+    values = [0.0, 0.5, -0.5, float("nan"), float("inf")]
+    for scenario in ("A", "B"):
+        for name in SWEEPABLE_FIELDS:
+            fields = {other: np.zeros(len(values)) for other in SWEEPABLE_FIELDS}
+            fields[name] = np.array(values)
+            want = []
+            for value in values:
+                try:
+                    SystemParams(scenario=scenario, **{name: value})
+                    want.append(False)
+                except ParameterError:
+                    want.append(True)
+            assert invalid_mask(fields, scenario).tolist() == want, (scenario, name)
 
 
 def test_replace():

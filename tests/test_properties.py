@@ -14,14 +14,17 @@ def _real(lo, hi):
 
 @st.composite
 def system_params(draw):
-    """Valid parameters of either scenario; both decay rates >= 0.01 keep the steady state unique."""
+    """Valid parameters of either scenario; both decay rates >= 0.01 keep the steady state unique.
+
+    Only scenario A has a thermal bath, so n_th is drawn for it alone.
+    """
     scenario = draw(st.sampled_from(("A", "B")))
     kw = dict(scenario=scenario, fock_dim=draw(st.integers(2, 6)),
               delta_m=draw(_real(-30.0, 30.0)), delta_s=draw(_real(-30.0, 30.0)),
               omega_d=draw(_real(0.0, 1.0)), kappa_m=draw(_real(0.01, 5.0)),
-              kappa_s=draw(_real(0.01, 5.0)), n_th=draw(_real(0.0, 2.0)))
+              kappa_s=draw(_real(0.01, 5.0)))
     if scenario == "A":
-        kw.update(g_ms=draw(_real(0.0, 60.0)), omega_s=draw(_real(0.0, 1.0)))
+        kw.update(g_ms=draw(_real(0.0, 60.0)), omega_s=draw(_real(0.0, 1.0)), n_th=draw(_real(0.0, 2.0)))
     else:
         kw.update(g_ms_tilde=draw(_real(0.0, 60.0)))
     return SystemParams(**kw)

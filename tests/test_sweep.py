@@ -4,6 +4,7 @@ import pytest
 
 from mbl.core import projector
 from mbl.errors import NumericalError, ParameterError
+from mbl.analytic import analytic_g2
 from mbl.lindblad import (build_liouvillian, evolve, fock_populations, g2_zero,
                           steady_state)
 from mbl.model import SystemParams
@@ -95,6 +96,23 @@ def test_spec_validation():
         SweepSpec(base=base_b, axis1=ax, quantity="g2_analytic")
     with pytest.raises(ParameterError):
         SweepSpec(base=base_b, axis1=ax, quantity="both_g2")
+
+
+@pytest.mark.parametrize("base, axis2, rules", [
+    (SystemParams(g_ms=19.6, omega_d=0.01, n_th=0.5), None, ()),
+    (SystemParams(g_ms=19.6, omega_d=0.01), SweepAxis("n_th", [0.0, 0.5]), ()),
+    (SystemParams(g_ms=19.6, omega_d=0.01), None, ("n_th = 0",)),
+], ids=["base", "axis", "rule"])
+@pytest.mark.parametrize("quantity", ["g2_analytic", "both_g2"])
+def test_spec_rejects_thermal_closed_form(base, axis2, rules, quantity):
+    # the closed form has no thermal bath, so no cell of its grid may carry one
+    with pytest.raises(ParameterError) as info:
+        SweepSpec(base=base, axis1=SweepAxis("delta", [1.0, 2.0]), axis2=axis2, quantity=quantity,
+                  constraints=rules)
+    assert "no thermal bath" in str(info.value)
+    # the master equation models the bath, and the closed form ignores fock_dim
+    SweepSpec(base=base, axis1=SweepAxis("delta", [1.0, 2.0]), axis2=axis2, constraints=rules)
+    SweepSpec(base=base.replace(n_th=0.0, fock_dim=2), axis1=SweepAxis("delta", [1.0]), quantity=quantity)
 
 
 @pytest.mark.parametrize("axis2, rules, message", [
@@ -209,6 +227,66 @@ def test_sweep_routes_agree_on_grid(broad_params):
     num = grid.planes["g2_numeric"]
     ana = grid.planes["g2_analytic"]
     assert np.all(np.abs(np.log10(num) - np.log10(ana)) < 0.2)
+
+
+def _per_cell(spec):
+    """The grid cell by cell through evaluate_point: values and failure tags."""
+    n1, n2 = spec.shape
+    planes = {name: np.full((n1, n2), np.nan) for name in spec.column_names()}
+    failures = []
+    for i in range(n1):
+        for j in range(n2):
+            try:
+                values = evaluate_point(spec.params_at(i, j), spec.quantity)
+            except (ParameterError, NumericalError) as exc:
+                failures.append(((i, j), f"{type(exc).__name__}: {str(exc)[:160]}"))
+                continue
+            for name, value in values.items():
+                planes[name][i, j] = value
+    return planes, failures
+
+
+def test_dip_tracked_closed_form_grid_equals_single_points():
+    # more cells than one array block, so the blocks' seams are crossed too
+    rng = np.random.default_rng(7)
+    spec = SweepSpec(base=SystemParams(omega_s=rng.uniform(0.05, 0.07), omega_d=rng.uniform(0.009, 0.011)),
+                     axis1=SweepAxis("g_ms", np.sort(rng.uniform(0.5, 30.0, 70))),
+                     axis2=SweepAxis("kappa", np.sort(rng.uniform(0.05, 1.5, 45))),
+                     quantity="g2_analytic", constraints=("delta = g_ms/2",))
+    grid = run_sweep(spec)
+    assert grid.failures == []
+    n1, n2 = spec.shape
+    for i in range(n1):
+        for j in range(n2):
+            assert grid.values[i, j] == analytic_g2(spec.params_at(i, j)), (i, j)
+
+
+def test_both_routes_grid_equals_single_points(broad_params):
+    spec = SweepSpec(base=broad_params, axis1=SweepAxis.linspace("delta", -12.0, 12.0, 5),
+                     axis2=SweepAxis("omega_d", [0.004, 0.012]), quantity="both_g2")
+    grid = run_sweep(spec)
+    planes, failures = _per_cell(spec)
+    assert grid.failures == failures == []
+    for name in spec.column_names():
+        assert np.array_equal(grid.planes[name], planes[name]), name
+
+
+@pytest.mark.parametrize("quantity", ["g2_analytic", "both_g2"])
+def test_closed_form_grid_fails_cells_like_single_points(quantity):
+    # omega_d = 0 is a dark column (no drive at all), and the rule makes kappa
+    # negative for delta > 0; both failure kinds must keep their order and tags
+    spec = SweepSpec(base=SystemParams(g_ms=19.6),
+                     axis1=SweepAxis.linspace("delta", -2.0, 2.0, 4),
+                     axis2=SweepAxis("omega_d", [0.0, 0.01]),
+                     quantity=quantity, constraints=("kappa = delta_m*-0.1",))
+    grid = run_sweep(spec)
+    planes, failures = _per_cell(spec)
+    assert grid.failures == failures
+    assert [idx for idx, _ in failures] == [(0, 0), (1, 0), (2, 0), (2, 1), (3, 0), (3, 1)]
+    for (i, j), tag in failures:
+        assert tag.startswith("ParameterError: kappa_m must be >= 0" if i >= 2 else "NumericalError:"), tag
+    for name in spec.column_names():
+        assert np.array_equal(grid.planes[name], planes[name], equal_nan=True), name
 
 
 def test_evaluate_point_populations(broad_params):

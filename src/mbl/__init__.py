@@ -12,11 +12,9 @@ __version__ = "0.1.0"
 
 from .analytic import (
     AmplitudeSet,
-    AmplitudeTrajectory,
     amplitude_g2,
     analytic_g2,
     closed_form_amplitudes,
-    evolve_amplitudes,
     optimal_detuning,
     solve_steady_linear,
 )
@@ -24,11 +22,9 @@ from .core import Space, annihilation, projector, qubit_ops
 from .errors import NumericalError, ParameterError
 from .lindblad import (
     build_liouvillian,
-    density_diagnostics,
     evolve,
     fock_populations,
     g2_zero,
-    mean_occupation,
     steady_state,
 )
 from .model import (
@@ -46,7 +42,6 @@ from .sweep import (
     SweepSpec,
     TimeSeries,
     figure_preset,
-    find_minimum,
     run_evolution,
     run_sweep,
 )
@@ -54,7 +49,6 @@ from .sweep import (
 __all__ = [
     "__version__",
     "AmplitudeSet",
-    "AmplitudeTrajectory",
     "DressedLevel",
     "EvolutionJob",
     "FIGURE_NAMES",
@@ -73,15 +67,11 @@ __all__ = [
     "build_h_nonhermitian",
     "build_liouvillian",
     "closed_form_amplitudes",
-    "density_diagnostics",
     "dressed_spectrum",
     "evolve",
-    "evolve_amplitudes",
     "figure_preset",
-    "find_minimum",
     "fock_populations",
     "g2_zero",
-    "mean_occupation",
     "optimal_detuning",
     "projector",
     "qubit_ops",

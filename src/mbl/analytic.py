@@ -4,12 +4,11 @@ For weak drives the system stays near the ground product state and the
 dynamics closes on five basis states (lower/upper two-level state, up to two
 oscillator quanta). With the ground amplitude pinned at 1, the remaining
 four amplitudes obey a linear complex system built from the non-Hermitian
-Hamiltonian. Three routes to those amplitudes live here:
+Hamiltonian. Two routes to those amplitudes live here:
 
 * closed-form expressions (scenario A), for single points and parameter
   arrays alike,
-* a direct LU solve of the projected linear system (the oracle),
-* exact-propagator time evolution of the same system.
+* a direct LU solve of the projected linear system (the oracle).
 
 g²(0) follows from the two-quantum amplitude: 2|c_g2|² / |c_g1|⁴. The
 cascade is a zero-temperature model: every route rejects n_th ≠ 0.
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Space, expm
+from .core import Space
 from .errors import NumericalError, ParameterError
 from .model import SystemParams, build_h_nonhermitian, finite_real
 
@@ -43,17 +42,6 @@ class AmplitudeSet:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.c_g0, self.c_e0, self.c_g1, self.c_e1, self.c_g2], dtype=complex)
-
-
-@dataclass(frozen=True)
-class AmplitudeTrajectory:
-    """Time series of the five amplitudes (rows align with `times`)."""
-
-    times: np.ndarray
-    amplitudes: np.ndarray  # shape (len(times), 5), order per STATE_ORDER
-
-    def final(self) -> AmplitudeSet:
-        return AmplitudeSet(*self.amplitudes[-1])
 
 
 def _require_cascade(params: SystemParams, what: str) -> None:
@@ -182,30 +170,6 @@ def solve_steady_linear(params: SystemParams) -> AmplitudeSet:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"steady amplitude system is singular: {exc}") from exc
     return AmplitudeSet(1.0 + 0.0j, *c)
-
-
-def evolve_amplitudes(params: SystemParams, t_end: float, dt: float) -> AmplitudeTrajectory:
-    """Propagate the five-state amplitudes from rest with the exact step propagator.
-
-    The ground amplitude is held at 1 (its generator row is zero) and the
-    other four start at 0. `dt` is an upper bound on the sampling step; the
-    actual step divides t_end evenly. Long times relax onto the
-    `solve_steady_linear` solution when both decay rates are positive.
-    """
-    t_end, dt = finite_real("t_end", t_end), finite_real("dt", dt)
-    if t_end <= 0:
-        raise ParameterError(f"t_end must be positive, got {t_end!r}")
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got {dt!r}")
-    m = reduced_matrix(params)
-    m[0] = 0.0
-    n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
-    step = expm(-1j * (t_end / n_steps) * m)
-    out = np.zeros((n_steps + 1, 5), dtype=complex)
-    out[0, 0] = 1.0
-    for i in range(1, n_steps + 1):
-        out[i] = step @ out[i - 1]
-    return AmplitudeTrajectory(times=np.linspace(0.0, t_end, n_steps + 1), amplitudes=out)
 
 
 def amplitude_g2(amps: AmplitudeSet) -> float:

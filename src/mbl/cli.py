@@ -25,13 +25,11 @@ from .analytic import STATE_NAMES, amplitude_g2, closed_form_amplitudes, optimal
 from .errors import NumericalError, ParameterError
 from .lindblad import (
     build_liouvillian,
-    density_diagnostics,
+    defined_g2,
     fock_populations,
-    g2_zero,
-    mean_occupation,
-    steady_state,
+    population_moments,
+    steady_coordinates,
     unvectorize,
-    vectorize,
 )
 from .model import SCENARIOS, SWEEPABLE_FIELDS, SystemParams, dressed_spectrum, finite_real
 from .output import (
@@ -264,23 +262,21 @@ def _report(pairs: dict[str, float], out: str | None, fmt: str, gamma: float | N
 def _cmd_steady(opts: dict, out: str | None, fmt: str, gamma: float | None) -> int:
     params = _params(opts)
     space = params.space()
-    liouv = build_liouvillian(params)
-    rho = steady_state(liouv)
-    residual = float(np.max(np.abs(unvectorize(liouv @ vectorize(rho), space.total_dim))))
-    diag = density_diagnostics(rho)
+    x, residual = steady_coordinates(build_liouvillian(params))
+    # ρ is Hermitian by construction, so the report carries no Hermiticity defect
+    rho = unvectorize(x, space.total_dim)
     pops = fock_populations(rho, space)
     report: dict[str, float] = {
-        "trace": diag["trace_real"],
-        "hermiticity_defect": diag["hermiticity_defect"],
-        "min_eigenvalue": diag["min_eigenvalue"],
+        "trace": float(np.trace(rho).real),
+        "min_eigenvalue": float(np.linalg.eigvalsh(rho)[0]),
         "residual": residual,
-        "occupation": mean_occupation(rho, space),
+        "occupation": float(population_moments(pops)[0]),
     }
     for k in range(min(4, pops.size)):
         report[f"p{k}"] = float(pops[k])
     failed: str | None = None
     try:
-        g2 = g2_zero(rho, space)
+        g2 = defined_g2(pops)
         report["g2"] = g2
         report["log10_g2"] = math.log10(g2) if g2 > 0 else float("nan")
     except NumericalError as exc:

@@ -195,17 +195,18 @@ def _check_generator(liouv: np.ndarray) -> int:
     return d
 
 
-def steady_state(liouv: np.ndarray) -> np.ndarray:
-    """Null vector of the Liouvillian, as a density matrix of unit trace.
+def steady_coordinates(liouv: np.ndarray) -> tuple[np.ndarray, float]:
+    """Null vector of the Liouvillian in balanced coordinates, at unit trace, and its residual.
 
     The ground population is held at 1 while the other rows of L v = 0 are
     LU-solved for the remaining coordinates; the ground-population row is
     implied by the others, since L preserves the trace. The system matrix is
     the block L[1:, 1:] itself, so `liouv` is neither copied nor changed.
-    The result is then scaled to unit trace. Requires both decay rates
-    positive for uniqueness; a singular or ill-conditioned system, a steady
-    state without ground population, or a residual max |dρ/dt| above
-    STEADY_RESIDUAL_TOL raises NumericalError.
+    The result is then scaled to unit trace; the residual is max |dρ/dt|
+    over the entries of L v. Requires both decay rates positive for
+    uniqueness; a singular or ill-conditioned system, a steady state without
+    ground population, or a residual above STEADY_RESIDUAL_TOL raises
+    NumericalError.
     """
     liouv = np.asarray(liouv)
     d = _check_generator(liouv)
@@ -218,10 +219,20 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
     x /= _layout(d).trace @ x
     if not np.all(np.isfinite(x)):
         raise NumericalError("steady-state solve produced non-finite entries")
-    residual = np.max(np.abs(unvectorize(liouv @ x, d)))
+    residual = float(np.max(np.abs(unvectorize(liouv @ x, d))))
     if residual > STEADY_RESIDUAL_TOL:
         raise NumericalError(f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.0e}")
-    return unvectorize(x, d)
+    return x, residual
+
+
+def steady_state(liouv: np.ndarray) -> np.ndarray:
+    """Null vector of the Liouvillian, as a density matrix of unit trace.
+
+    The solve and its checks are `steady_coordinates`; this folds its
+    coordinates into ρ, which is Hermitian by construction.
+    """
+    x, _ = steady_coordinates(liouv)
+    return unvectorize(x, math.isqrt(x.size))
 
 
 def evolve(liouv: np.ndarray, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -273,7 +284,7 @@ def fock_populations(rho: np.ndarray, space: Space) -> np.ndarray:
     return diag[..., : space.fock_dim] + diag[..., space.fock_dim :]
 
 
-def _moments(pops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def population_moments(pops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Σ n Pₙ and Σ n(n-1) Pₙ along the last axis."""
     n = np.arange(pops.shape[-1], dtype=float)
     return (pops * n).sum(axis=-1), (pops * (n * (n - 1.0))).sum(axis=-1)
@@ -281,14 +292,17 @@ def _moments(pops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def g2_from_populations(pops: np.ndarray) -> np.ndarray:
     """⟨m†m†mm⟩ / ⟨m†m⟩² from populations on the last axis; NaN where the mode is unoccupied."""
-    occupation, pairs = _moments(np.asarray(pops, dtype=float))
+    occupation, pairs = population_moments(np.asarray(pops, dtype=float))
     defined = (occupation > 0.0) & (occupation * occupation >= 1e-300)
     return np.where(defined, pairs / np.where(defined, occupation * occupation, 1.0), np.nan)
 
 
-def mean_occupation(rho: np.ndarray, space: Space) -> float:
-    """⟨m†m⟩ = Σ n Pₙ for the oscillator mode."""
-    return float(_moments(fock_populations(rho, space))[0])
+def defined_g2(pops: np.ndarray) -> float:
+    """g²(0) of one population vector; NumericalError when the mode is unoccupied (undefined ratio)."""
+    g2 = float(g2_from_populations(pops))
+    if math.isnan(g2):
+        raise NumericalError("g2 is undefined: oscillator mode is unoccupied")
+    return g2
 
 
 def g2_zero(rho: np.ndarray, space: Space) -> float:
@@ -297,22 +311,4 @@ def g2_zero(rho: np.ndarray, space: Space) -> float:
     Both moments are diagonal in the Fock basis: Σ n(n-1) Pₙ and Σ n Pₙ.
     Raises NumericalError when the mode is unoccupied (undefined ratio).
     """
-    g2 = float(g2_from_populations(fock_populations(rho, space)))
-    if math.isnan(g2):
-        raise NumericalError("g2 is undefined: oscillator mode is unoccupied")
-    return g2
-
-
-def density_diagnostics(rho: np.ndarray) -> dict[str, float]:
-    """Validity numbers for a density matrix: trace, Hermiticity, positivity."""
-    rho = np.asarray(rho)
-    herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
-    trace = complex(np.trace(rho))
-    eigvals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    return {
-        "trace_real": trace.real,
-        "trace_imag": trace.imag,
-        "hermiticity_defect": herm_defect,
-        "min_eigenvalue": float(eigvals[0]),
-        "max_eigenvalue": float(eigvals[-1]),
-    }
+    return defined_g2(fock_populations(rho, space))

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -212,12 +211,6 @@ class SweepSpec:
         return self.base.replace(**{name: float(values[i, j]) for name, values in self._grid.items()})
 
 
-class GridMinimum(NamedTuple):
-    index: tuple[int, int]
-    coords: tuple[float, float | None]
-    value: float
-
-
 @dataclass
 class ResultGrid:
     """Raw sweep output: one matrix per quantity column, plus failures.
@@ -300,21 +293,6 @@ def run_sweep(spec: SweepSpec) -> ResultGrid:
         for name, value in values.items():
             planes[name][i, j] = value
     return ResultGrid(spec=spec, planes=planes, failures=failures)
-
-
-def find_minimum(grid: ResultGrid, column: str | None = None) -> GridMinimum:
-    """Smallest finite cell; ties break to the smallest axis1 then axis2 index."""
-    name = column if column is not None else grid.spec.column_names()[0]
-    if name not in grid.planes:
-        raise ParameterError(f"no column {name!r} in this grid; have {tuple(grid.planes)}")
-    plane = grid.planes[name]
-    if not np.any(np.isfinite(plane)):
-        raise NumericalError("grid has no finite cells to minimize over")
-    flat = np.nanargmin(plane)  # C order: first hit has the smallest (i, j)
-    i, j = np.unravel_index(flat, plane.shape)
-    x1 = grid.spec.axis1.values[i]
-    x2 = grid.spec.axis2.values[j] if grid.spec.axis2 is not None else None
-    return GridMinimum(index=(int(i), int(j)), coords=(x1, x2), value=float(plane[i, j]))
 
 
 @dataclass(frozen=True)

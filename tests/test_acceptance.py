@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from mbl.analytic import analytic_g2, closed_form_amplitudes, solve_steady_linear
-from mbl.lindblad import (build_liouvillian, density_diagnostics, g2_zero,
-                          mean_occupation, steady_state, unvectorize,
-                          vectorize)
+from mbl.lindblad import (build_liouvillian, fock_populations, g2_zero,
+                          steady_coordinates, steady_state, unvectorize)
 from mbl.model import SystemParams, dressed_spectrum
 from mbl.sweep import (FIGURE_NAMES, EvolutionJob, SweepAxis, SweepSpec,
-                       evaluate_point, figure_preset, find_minimum,
-                       run_evolution, run_sweep)
+                       evaluate_point, figure_preset, run_evolution,
+                       run_sweep)
 
 BRIGHT = SystemParams(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_s=0.06,
                       omega_d=0.01, kappa_m=0.15, kappa_s=0.15)
@@ -99,14 +98,16 @@ def test_optimal_detuning_tracks_half_coupling(dip_cut_grid,
 
 def test_optimal_drive_ratio(drive_map_grid, acceptance_log):
     """The interference optimum pins the drive ratio near six."""
-    best = find_minimum(drive_map_grid)
-    omega_s, omega_d = best.coords
+    plane = drive_map_grid.values
+    i, j = np.unravel_index(np.nanargmin(plane), plane.shape)
+    spec = drive_map_grid.spec
+    omega_s, omega_d = spec.axis1.values[i], spec.axis2.values[j]
     ratio = omega_s / omega_d
     assert 5.0 <= ratio <= 7.0
     acceptance_log(
         f"PASS drive ratio: grid minimum at omega_s={omega_s:.4f}, "
         f"omega_d={omega_d:.4f}, ratio {ratio:.2f} inside [5, 7] "
-        f"(log10 g2 = {np.log10(best.value):.3f})")
+        f"(log10 g2 = {np.log10(plane[i, j]):.3f})")
 
 
 def test_weak_dip_depth_tracks_qubit_drive(acceptance_log):
@@ -160,10 +161,10 @@ def test_transverse_layout_dip(acceptance_log):
     spec = SweepSpec(base=base,
                      axis1=SweepAxis.linspace("delta", -40.0, 40.0, 801),
                      quantity="g2_numeric")
-    grid = run_sweep(spec)
-    best = find_minimum(grid)
-    depth = float(np.log10(best.value))
-    location = best.coords[0]
+    plane = run_sweep(spec).values
+    i, j = np.unravel_index(np.nanargmin(plane), plane.shape)
+    depth = float(np.log10(plane[i, j]))
+    location = spec.axis1.values[i]
     assert -2.5 <= depth <= -1.5
     assert abs(abs(location) - 25.05) <= 1.0
     acceptance_log(
@@ -209,14 +210,12 @@ def test_steady_state_validity_across_presets(acceptance_log):
                        (n1 // 2, n2 // 2)}
             samples = [preset.params_at(i, j) for i, j in sorted(corners)]
         for params in samples:
-            liouv = build_liouvillian(params)
-            rho = steady_state(liouv)
-            diag = density_diagnostics(rho)
-            drho = unvectorize(liouv @ vectorize(rho), params.space().total_dim)
-            worst["residual"] = max(worst["residual"], float(np.max(np.abs(drho))))
-            worst["herm"] = max(worst["herm"], diag["hermiticity_defect"])
-            worst["trace"] = max(worst["trace"], abs(diag["trace_real"] - 1.0))
-            worst["neg"] = max(worst["neg"], max(0.0, -diag["min_eigenvalue"]))
+            x, residual = steady_coordinates(build_liouvillian(params))
+            rho = unvectorize(x, params.space().total_dim)
+            worst["residual"] = max(worst["residual"], residual)
+            worst["herm"] = max(worst["herm"], float(np.max(np.abs(rho - rho.conj().T))))
+            worst["trace"] = max(worst["trace"], abs(np.trace(rho).real - 1.0))
+            worst["neg"] = max(worst["neg"], -np.linalg.eigvalsh(rho)[0])
             checked += 1
     assert worst["residual"] < 1e-10
     assert worst["herm"] < 1e-12
@@ -312,7 +311,7 @@ def test_thermal_fixed_point(acceptance_log):
     p = SystemParams(n_th=0.5, fock_dim=16)
     s = p.space()
     rho = steady_state(build_liouvillian(p))
-    occupation = mean_occupation(rho, s)
+    occupation = fock_populations(rho, s) @ np.arange(s.fock_dim)
     assert abs(occupation - 0.5) < 1e-6
     acceptance_log(
         f"PASS thermal fixed point: occupation {occupation:.8f} vs bath "

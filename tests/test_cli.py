@@ -13,6 +13,7 @@ import pytest
 
 import mbl
 from mbl.cli import main
+from mbl.lindblad import steady_coordinates
 
 BRIGHT = ["--delta", "9.8", "--g-ms", "19.6", "--omega-s", "0.06",
           "--omega-d", "0.01", "--kappa", "0.15"]
@@ -64,6 +65,39 @@ def test_steady_writes_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["values"]["log10_g2"] == pytest.approx(-7.1922697, abs=1e-6)
+
+
+STEADY_KEYS = ["trace", "min_eigenvalue", "residual", "occupation", "p0", "p1", "p2", "p3", "g2", "log10_g2"]
+SCENARIO_B = ["--scenario", "B", "--g-ms-tilde", "50.1", "--delta", "25.05", "--omega-d", "0.01", "--kappa", "0.15"]
+
+
+@pytest.mark.parametrize("argv, params", [
+    (BRIGHT, mbl.SystemParams(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_s=0.06, omega_d=0.01,
+                              kappa_m=0.15, kappa_s=0.15)),
+    (SCENARIO_B, mbl.SystemParams(scenario="B", g_ms_tilde=50.1, delta_m=25.05, delta_s=25.05,
+                                  omega_d=0.01, kappa_m=0.15, kappa_s=0.15)),
+], ids=["A", "B"])
+def test_steady_report_is_one_solve(capsys, tmp_path, argv, params):
+    target = tmp_path / "steady.json"
+    code, out, _ = run(capsys, "steady", *argv, "--out", str(target), "--format", "json")
+    assert code == 0
+    assert [line.split(" = ")[0] for line in out.splitlines()] == STEADY_KEYS
+    values = json.loads(target.read_text())["values"]
+    assert list(values) == STEADY_KEYS
+    # the report reads the same solve the library routes do, bit for bit
+    liouv = mbl.build_liouvillian(params)
+    rho, space = mbl.steady_state(liouv), params.space()
+    assert values["residual"] == steady_coordinates(liouv)[1]
+    assert [values[f"p{k}"] for k in range(4)] == mbl.fock_populations(rho, space)[:4].tolist()
+    assert values["g2"] == mbl.g2_zero(rho, space)
+
+
+def test_steady_dark_report_drops_only_g2(capsys, tmp_path):
+    target = tmp_path / "steady.json"
+    code, out, _ = run(capsys, "steady", "--out", str(target), "--format", "json")
+    assert code == 2
+    assert [line.split(" = ")[0] for line in out.splitlines()] == [*STEADY_KEYS[:-2], "g2"]
+    assert list(json.loads(target.read_text())["values"]) == STEADY_KEYS[:-2]
 
 
 @pytest.mark.parametrize("argv, exit_code", [

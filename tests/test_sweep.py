@@ -1,4 +1,4 @@
-"""Grid machinery: axes, constraints, execution, minima, presets."""
+"""Grid machinery: axes, constraints, execution, presets."""
 import numpy as np
 import pytest
 
@@ -10,7 +10,7 @@ from mbl.lindblad import (build_liouvillian, evolve, fock_populations, g2_zero,
 from mbl.model import SystemParams
 from mbl.sweep import (AXIS_ALIASES, FIGURE_NAMES, Constraint, EvolutionJob,
                        SweepAxis, SweepSpec, evaluate_point, figure_preset,
-                       find_minimum, run_evolution, run_sweep)
+                       run_evolution, run_sweep)
 
 
 # ------------------------------------------------------------------- axes
@@ -300,42 +300,6 @@ def test_evaluate_point_rejects_dark_state():
     p = SystemParams(delta_m=2.0, delta_s=2.0, g_ms=4.0)
     with pytest.raises(NumericalError):
         evaluate_point(p, "g2_numeric")
-
-
-# ----------------------------------------------------------------- minima
-
-def _tiny_grid(values, quantity="g2_numeric"):
-    from mbl.sweep import ResultGrid
-    vals = np.asarray(values, dtype=float)
-    spec = SweepSpec(
-        base=SystemParams(g_ms=19.6, omega_s=0.06, omega_d=0.01),
-        axis1=SweepAxis("delta", list(range(1, vals.shape[0] + 1))),
-        axis2=SweepAxis("omega_d", list(np.arange(vals.shape[1]) + 0.001)),
-        quantity=quantity,
-    )
-    return ResultGrid(spec=spec, planes={quantity: vals})
-
-
-def test_find_minimum():
-    grid = _tiny_grid([[3.0, 2.0], [1.0, 5.0]])
-    best = find_minimum(grid)
-    assert best.index == (1, 0)
-    assert best.value == 1.0
-    assert best.coords == (2.0, 0.001)
-
-
-def test_find_minimum_skips_nan_and_breaks_ties_in_order():
-    grid = _tiny_grid([[np.nan, 2.0], [2.0, 7.0]])
-    best = find_minimum(grid)
-    assert best.index == (0, 1)  # first in row-major order among the tie
-
-
-def test_find_minimum_errors():
-    grid = _tiny_grid([[np.nan, np.nan]])
-    with pytest.raises(NumericalError):
-        find_minimum(grid)
-    with pytest.raises(ParameterError):
-        find_minimum(_tiny_grid([[1.0, 2.0]]), column="bogus")
 
 
 # -------------------------------------------------------------- evolution

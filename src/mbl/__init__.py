@@ -30,7 +30,6 @@ from .lindblad import (
 from .model import (
     DressedLevel,
     SystemParams,
-    build_h_eff,
     build_h_nonhermitian,
     dressed_spectrum,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "amplitude_g2",
     "analytic_g2",
     "annihilation",
-    "build_h_eff",
     "build_h_nonhermitian",
     "build_liouvillian",
     "closed_form_amplitudes",

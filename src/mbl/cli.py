@@ -5,8 +5,8 @@ exactly the options it reads, declared once in `build_parser`; flags are
 taken only as spelled in full. A JSON config file (--config) can carry
 everything a run needs: each of its keys stands for one flag, a key counts
 only for a command that has that flag, and command-line flags override
-config values. Exit codes: 0 success, 1 bad input or config, 2 numerical
-failure.
+config values. An output option that could not act is refused. Exit codes:
+0 success, 1 bad input or config, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ from .sweep import (
 
 PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
 
+# commands that print a text report and write a file only with --out
+REPORT_COMMANDS = ("steady", "analytic", "spectrum")
+
 # Config file layout. A key maps to the argparse dest of the flag it stands
 # for; a nested table is a section of the file.
 CONFIG_DESTS: dict = {
@@ -76,6 +79,11 @@ CONFIG_KEYS = {
     **{dest: f"{section}.{key}" for section, table in CONFIG_DESTS.items() if isinstance(table, dict)
        for key, dest in table.items()},
 }
+
+
+def _spelled(dest: str) -> str:
+    """An option as both its flag and its config key name it."""
+    return f"--{dest.replace('_', '-')} (config {CONFIG_KEYS[dest]})"
 
 
 def _check_keys(section: dict, allowed: set[str], where: str, required: set[str] = frozenset()) -> None:
@@ -131,7 +139,7 @@ def _common_parent() -> argparse.ArgumentParser:
     parent.add_argument("--config", default=argparse.SUPPRESS, help="JSON run config; flags override its values")
     parent.add_argument("--out", default=argparse.SUPPRESS, help="output file (default: stdout, or <figure>.<fmt>)")
     parent.add_argument("--format", default=argparse.SUPPRESS, help="output format: csv (default) or json")
-    parent.add_argument("--gamma-mhz", type=float, default=argparse.SUPPRESS, help="reference rate in MHz (metadata only)")
+    parent.add_argument("--gamma-mhz", type=float, default=argparse.SUPPRESS, help="reference rate in MHz (JSON metadata only)")
     return parent
 
 
@@ -229,8 +237,8 @@ def _axis(raw, which: str) -> SweepAxis:
     return SweepAxis.linspace(raw["name"], raw["min"], raw["max"], raw["count"])
 
 
-def _output(opts: dict) -> tuple[str | None, str, float | None]:
-    """Output path, format and reference rate."""
+def _output(command: str, opts: dict) -> tuple[str | None, str, float | None]:
+    """Output path, format and reference rate; an option that cannot act is refused."""
     out, fmt, gamma = opts.get("out"), opts.get("format", "csv"), opts.get("gamma_mhz")
     if out is not None and not isinstance(out, str):
         raise ParameterError(f"output path must be a string, got {out!r}")
@@ -240,6 +248,12 @@ def _output(opts: dict) -> tuple[str | None, str, float | None]:
         gamma = finite_real("gamma_mhz", gamma)
         if gamma <= 0:
             raise ParameterError(f"gamma_mhz must be > 0, got {gamma!r}")
+    if out is None and command in REPORT_COMMANDS:
+        given = [_spelled(dest) for dest in ("format", "gamma_mhz") if dest in opts]
+        if given:
+            raise ParameterError(f"without --out, {command} writes no file, so {' and '.join(given)} would be ignored")
+    if gamma is not None and fmt == "csv":
+        raise ParameterError(f"CSV output carries no metadata, so {_spelled('gamma_mhz')} would be ignored; use --format json")
     return out, fmt, gamma
 
 
@@ -379,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         # the one place config values and flags meet: a flag wins over its config key
         opts = {**config, **flags}
         # options every subcommand takes are checked for all of them, before any numerics
-        return _COMMANDS[command](opts, *_output(opts))
+        return _COMMANDS[command](opts, *_output(command, opts))
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

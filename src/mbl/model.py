@@ -136,7 +136,13 @@ def hamiltonian_terms(space: Space) -> np.ndarray:
     """Read-only (5, D, D) stack of the Hamiltonian's operator terms.
 
     In order: m†m, σ₊σ₋, (m σ₊ + m† σ₋)/2, m† + m, σₓ/2. The rotating-frame
-    Hamiltonian is their sum weighted by `hamiltonian_coefficients`.
+    Hamiltonian is their sum weighted by `hamiltonian_coefficients`; in
+    scenario A that is
+
+        delta_m m†m + delta_s σ₊σ₋ + (g_ms/2)(m σ₊ + m† σ₋)
+        + (omega_s/2)(σ₊ + σ₋) + omega_d (m† + m),
+
+    and scenario B drops the direct two-level drive and uses g_ms_tilde.
     """
     m = annihilation(space)
     md = m.conj().T
@@ -154,21 +160,11 @@ def hamiltonian_coefficients(params: SystemParams) -> np.ndarray:
     return np.array([params.delta_m, params.delta_s, params.coupling, params.omega_d, params.omega_s])
 
 
-def build_h_eff(params: SystemParams) -> np.ndarray:
-    """Rotating-frame Hamiltonian on the composite space (dense, Hermitian).
-
-    Scenario A:
-        delta_m m†m + delta_s σ₊σ₋ + (g_ms/2)(m σ₊ + m† σ₋)
-        + (omega_s/2)(σ₊ + σ₋) + omega_d (m† + m)
-    Scenario B drops the direct two-level drive and uses g_ms_tilde.
-    """
-    return np.tensordot(hamiltonian_coefficients(params), hamiltonian_terms(params.space()), axes=1)
-
-
 def build_h_nonhermitian(params: SystemParams) -> np.ndarray:
     """Effective non-Hermitian Hamiltonian: decay folded into the energies.
 
-    H_eff - i(kappa_m/2) m†m - i(kappa_s/2) σ₊σ₋, from `hamiltonian_terms`. The
+    H - i(kappa_m/2) m†m - i(kappa_s/2) σ₊σ₋, with H the rotating-frame
+    Hamiltonian of `hamiltonian_terms`, which it equals at zero linewidths. The
     anti-Hermitian part is negative semi-definite, so amplitudes can only lose norm.
     """
     damping = np.array([params.kappa_m, params.kappa_s, 0.0, 0.0, 0.0])

@@ -1,14 +1,16 @@
 """CSV and JSON rendering of sweep grids, time series, and level tables.
 
-CSV files are deterministic: 17-significant-digit floats, LF line endings,
-one row per grid point in axis1-major order. Correlation columns are
-emitted as log10 (raw values live in ResultGrid); populations and times are
-raw. JSON documents carry the full spec echo, all value planes, failures,
-and metadata.
+CSV files are deterministic: one `np.savetxt` call per table writes
+17-significant-digit floats (`%.17g`, the bytes `format_float` gives), LF
+line endings, one row per grid point in axis1-major order. Correlation
+columns are emitted as log10 (raw values live in ResultGrid); populations
+and times are raw. JSON documents carry the full spec echo, all value
+planes, failures, and metadata.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import asdict
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .model import DressedLevel
-from .sweep import ResultGrid, SweepSpec, TimeSeries
+from .sweep import ResultGrid, TimeSeries
 
 LOG_COLUMNS = ("g2_numeric", "g2_analytic")
 
@@ -41,50 +43,34 @@ def _transform(name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _csv_text(header: Iterable[str], rows: Iterable[Iterable[float]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(x) for x in row))
-    return "\n".join(lines) + "\n"
+def _csv_text(header: Iterable[str], columns: Iterable) -> str:
+    """`columns` side by side under `header`; `%.17g` writes each float as `format_float` does."""
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack(columns), fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    return buf.getvalue()
 
 
 def grid_csv(grid: ResultGrid) -> str:
     spec = grid.spec
-    columns = spec.column_names()
-    planes = {name: _transform(name, grid.planes[name]) for name in columns}
-    header = [spec.axis1.name]
+    n1, n2 = spec.shape
+    header, columns = [spec.axis1.name], [np.repeat(spec.axis1.values, n2)]
     if spec.axis2 is not None:
         header.append(spec.axis2.name)
-    header.extend(_column_header(name) for name in columns)
-
-    def rows():
-        n1, n2 = spec.shape
-        for i in range(n1):
-            for j in range(n2):
-                row = [spec.axis1.values[i]]
-                if spec.axis2 is not None:
-                    row.append(spec.axis2.values[j])
-                row.extend(planes[name][i, j] for name in columns)
-                yield row
-
-    return _csv_text(header, rows())
+        columns.append(np.tile(spec.axis2.values, n1))
+    for name in spec.column_names():
+        header.append(_column_header(name))
+        columns.append(_transform(name, grid.planes[name]).ravel())
+    return _csv_text(header, columns)
 
 
 def timeseries_csv(series: TimeSeries) -> str:
-    names = list(series.planes)
-    header = ["time"] + names
-
-    def rows():
-        for k in range(series.times.size):
-            yield [series.times[k]] + [series.planes[name][k] for name in names]
-
-    return _csv_text(header, rows())
+    return _csv_text(["time", *series.planes], [series.times, *series.planes.values()])
 
 
 def levels_csv(levels: Iterable[DressedLevel]) -> str:
     header = ["n", "branch", "energy", "c_g_n", "c_e_nm1"]
-    rows = [[lv.n, lv.branch, lv.energy, lv.c_g_n, lv.c_e_nm1] for lv in levels]
-    return _csv_text(header, rows)
+    levels = list(levels)
+    return _csv_text(header, [[getattr(lv, name) for lv in levels] for name in header])
 
 
 def _jsonable(value):
@@ -98,25 +84,15 @@ def _jsonable(value):
     return value
 
 
-def _metadata(gamma_mhz: float | None) -> dict:
+def _json_text(doc: dict, gamma_mhz: float | None) -> str:
+    """`doc` with the metadata block (version, timestamp, gamma_mhz if given) as its last key."""
     meta = {
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     if gamma_mhz is not None:
         meta["gamma_mhz"] = gamma_mhz
-    return meta
-
-
-def spec_document(spec: SweepSpec) -> dict:
-    doc = {
-        "base": asdict(spec.base),
-        "axis1": {"name": spec.axis1.name, "values": list(spec.axis1.values)},
-        "axis2": None if spec.axis2 is None else {"name": spec.axis2.name, "values": list(spec.axis2.values)},
-        "quantity": spec.quantity,
-        "constraints": list(spec.constraints),
-    }
-    return doc
+    return json.dumps({**doc, "metadata": meta}, indent=2, allow_nan=False) + "\n"
 
 
 def grid_json(grid: ResultGrid, gamma_mhz: float | None = None) -> str:
@@ -127,14 +103,19 @@ def grid_json(grid: ResultGrid, gamma_mhz: float | None = None) -> str:
     if spec.axis2 is not None:
         axes.append({"name": spec.axis2.name, "values": list(spec.axis2.values)})
     doc = {
-        "spec": spec_document(spec),
+        "spec": {
+            "base": asdict(spec.base),
+            "axis1": axes[0],
+            "axis2": axes[1] if spec.axis2 is not None else None,
+            "quantity": spec.quantity,
+            "constraints": list(spec.constraints),
+        },
         "axes": axes,
         "values": planes[_column_header(columns[0])],
         "planes": planes,
         "failures": [{"index": list(idx), "tag": tag} for idx, tag in grid.failures],
-        "metadata": _metadata(gamma_mhz),
     }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _json_text(doc, gamma_mhz)
 
 
 def timeseries_json(series: TimeSeries, gamma_mhz: float | None = None) -> str:
@@ -142,17 +123,12 @@ def timeseries_json(series: TimeSeries, gamma_mhz: float | None = None) -> str:
         "axes": [{"name": "time", "values": _jsonable(series.times)}],
         "planes": {name: _jsonable(values) for name, values in series.planes.items()},
         "failures": [],
-        "metadata": _metadata(gamma_mhz),
     }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _json_text(doc, gamma_mhz)
 
 
 def levels_json(levels: Iterable[DressedLevel], gamma_mhz: float | None = None) -> str:
-    doc = {
-        "levels": [asdict(lv) for lv in levels],
-        "metadata": _metadata(gamma_mhz),
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _json_text({"levels": [asdict(lv) for lv in levels]}, gamma_mhz)
 
 
 def mapping_csv(pairs: dict[str, float]) -> str:
@@ -163,8 +139,7 @@ def mapping_csv(pairs: dict[str, float]) -> str:
 
 
 def mapping_json(pairs: dict[str, float], gamma_mhz: float | None = None) -> str:
-    doc = {"values": {k: _jsonable(v) for k, v in pairs.items()}, "metadata": _metadata(gamma_mhz)}
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _json_text({"values": {k: _jsonable(v) for k, v in pairs.items()}}, gamma_mhz)
 
 
 def write_text(path: str, text: str) -> None:

@@ -603,6 +603,47 @@ def test_gamma_must_be_finite_and_positive(capsys, tmp_path, gamma):
     assert not target.exists()
 
 
+# Each case: a run spelled as flags, the same run as a config document, and the
+# output option, as flag and as config key, that could not act on it. No file is
+# written without --out by steady, analytic or spectrum, and CSV carries no metadata.
+_SPECTRUM = {"omega_m": 7, "omega_q": 7, "g": 2}
+_ANALYTIC_SWEEP = ["sweep", "--axis1", "delta=5.0", "--quantity", "g2_analytic"]
+IGNORED_OUTPUT_OPTIONS = {
+    "steady-format": (["steady", *BRIGHT, "--format", "json"],
+                      {"params": _SPLIT, "output": {"format": "json"}}, "--format", "output.format"),
+    "steady-gamma": (["steady", *BRIGHT, "--format", "json", "--gamma-mhz", "3"],
+                     {"params": _SPLIT, "output": {"format": "json"}, "gamma_mhz": 3}, "--gamma-mhz", "gamma_mhz"),
+    "analytic-format": (["analytic", *BRIGHT, "--format", "csv"],
+                        {"params": _SPLIT, "output": {"format": "csv"}}, "--format", "output.format"),
+    "spectrum-format": (["spectrum", "--omega-m", "7", "--omega-q", "7", "--g", "2", "--format", "json"],
+                        {"spectrum": _SPECTRUM, "output": {"format": "json"}}, "--format", "output.format"),
+    "sweep-csv-gamma": ([*_ANALYTIC_SWEEP, "--gamma-mhz", "5", "--out", "grid.csv"],
+                        {"sweep": {"axis1": "delta=5.0", "quantity": "g2_analytic"}, "gamma_mhz": 5,
+                         "output": {"path": "grid.csv"}}, "--gamma-mhz", "gamma_mhz"),
+    "sweep-stdout-gamma": ([*_ANALYTIC_SWEEP, "--format", "csv", "--gamma-mhz", "5"],
+                           {"sweep": {"axis1": "delta=5.0", "quantity": "g2_analytic"}, "gamma_mhz": 5,
+                            "output": {"format": "csv"}}, "--gamma-mhz", "gamma_mhz"),
+    "evolve-csv-gamma": (["evolve", *BRIGHT, "--num", "3", "--gamma-mhz", "1", "--out", "path.csv"],
+                         {"params": _SPLIT, "evolve": {"num": 3}, "gamma_mhz": 1, "output": {"path": "path.csv"}},
+                         "--gamma-mhz", "gamma_mhz"),
+    "figure-csv-gamma": (["figure", "fig7", "--gamma-mhz", "2"], {"figure": "fig7", "gamma_mhz": 2},
+                         "--gamma-mhz", "gamma_mhz"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_OUTPUT_OPTIONS))
+def test_output_options_that_cannot_act_are_refused(capsys, tmp_path, monkeypatch, case):
+    argv, doc, flag, key = IGNORED_OUTPUT_OPTIONS[case]
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("error:")
+    assert flag in err and f"(config {key})" in err
+    assert os.listdir(tmp_path) == []
+    cfg = _write_config(tmp_path, {"job": argv[0], **doc})
+    assert run(capsys, argv[0], "--config", cfg) == (1, "", err)
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
 def test_append_flag_does_not_carry_into_next_call(capsys, tmp_path):
     argv = ["sweep", "--axis1", "g_ms=19.6", "--quantity", "g2_analytic", "--format", "json"]
     first, second = tmp_path / "first.json", tmp_path / "second.json"

@@ -10,7 +10,7 @@ from mbl.errors import NumericalError, ParameterError
 from mbl.lindblad import (BALANCE, build_liouvillian, evolve, fock_populations,
                           g2_zero, population_moments, steady_coordinates,
                           steady_state, unvectorize, vectorize)
-from mbl.model import SystemParams, build_h_eff
+from mbl.model import SystemParams, build_h_nonhermitian
 
 
 def test_vectorize_roundtrip():
@@ -84,18 +84,18 @@ def test_term_table_matches_direct_build(scenario, thermal, fock_dim):
         d = p.space().total_dim
         h_ref, liouv_ref = reference_build(p)
         liouv_ref = in_coordinates(liouv_ref, d)
-        h, liouv = build_h_eff(p), build_liouvillian(p)
+        h, liouv = build_h_nonhermitian(p.replace(kappa_m=0.0, kappa_s=0.0)), build_liouvillian(p)
         assert np.max(np.abs(h - h_ref)) <= 1e-13 * np.max(np.abs(h_ref))
         assert np.max(np.abs(liouv - liouv_ref)) <= 1e-13 * np.max(np.abs(liouv_ref))
         assert trace_drift(liouv, d) <= 1e-12
 
 
 def test_builds_return_fresh_arrays(broad_params):
-    h, liouv = build_h_eff(broad_params), build_liouvillian(broad_params)
+    h, liouv = build_h_nonhermitian(broad_params), build_liouvillian(broad_params)
     h_want, liouv_want = h.copy(), liouv.copy()
     h[:] = 7.0
     liouv[:] = 7.0
-    assert np.array_equal(build_h_eff(broad_params), h_want)
+    assert np.array_equal(build_h_nonhermitian(broad_params), h_want)
     assert np.array_equal(build_liouvillian(broad_params), liouv_want)
 
 

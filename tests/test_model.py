@@ -4,8 +4,8 @@ import pytest
 
 from mbl.core import Space, annihilation, qubit_ops
 from mbl.errors import ParameterError
-from mbl.model import (SWEEPABLE_FIELDS, SystemParams, build_h_eff,
-                       build_h_nonhermitian, dressed_spectrum, invalid_mask)
+from mbl.model import (SWEEPABLE_FIELDS, SystemParams, build_h_nonhermitian,
+                       dressed_spectrum, invalid_mask)
 
 
 # ---------------------------------------------------------------- parameters
@@ -104,15 +104,20 @@ def test_space_matches_fock_dim():
 
 # ------------------------------------------------------------ hamiltonians
 
+def hamiltonian(p):
+    """The rotating-frame Hamiltonian: the non-Hermitian one at zero linewidths."""
+    return build_h_nonhermitian(p.replace(kappa_m=0.0, kappa_s=0.0))
+
+
 def test_h_eff_zero_params_is_zero():
-    h = build_h_eff(SystemParams())
+    h = hamiltonian(SystemParams())
     assert np.max(np.abs(h)) == 0.0
 
 
 def test_h_eff_hermitian():
     p = SystemParams(delta_m=9.8, delta_s=9.8, g_ms=19.6,
                      omega_s=0.06, omega_d=0.01)
-    h = build_h_eff(p)
+    h = hamiltonian(p)
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
@@ -122,7 +127,7 @@ def test_h_eff_single_excitation_block():
     g = 19.6
     p = SystemParams(delta_m=g / 2, delta_s=g / 2, g_ms=g)
     s = p.space()
-    h = build_h_eff(p)
+    h = hamiltonian(p)
     idx = [s.index(0, 1), s.index(1, 0)]
     block = h[np.ix_(idx, idx)]
     vals = np.sort(np.linalg.eigvalsh(block))
@@ -133,7 +138,7 @@ def test_h_eff_drive_entries():
     p = SystemParams(delta_m=2.0, delta_s=3.0, g_ms=5.0,
                      omega_s=0.06, omega_d=0.01)
     s = p.space()
-    h = build_h_eff(p)
+    h = hamiltonian(p)
     g0, g1, e0, e1 = (s.index(0, 0), s.index(0, 1),
                       s.index(1, 0), s.index(1, 1))
     assert h[g0, g1] == pytest.approx(0.01)       # mode drive
@@ -148,7 +153,7 @@ def test_h_eff_scenario_b():
     p = SystemParams(delta_m=25.05, delta_s=50.1, g_ms_tilde=50.1,
                      omega_d=0.01, scenario="B")
     s = p.space()
-    h = build_h_eff(p)
+    h = hamiltonian(p)
     g0, g1, e0 = s.index(0, 0), s.index(0, 1), s.index(1, 0)
     assert h[g0, e0] == 0.0            # no direct qubit drive
     assert h[g1, e0] == pytest.approx(25.05)   # g_tilde / 2
@@ -160,15 +165,14 @@ def test_h_nonhermitian():
                      omega_s=0.06, omega_d=0.01, kappa_m=0.15, kappa_s=0.15)
     s = p.space()
     hn = build_h_nonhermitian(p)
-    he = build_h_eff(p)
     e1 = s.index(1, 1)
     assert hn[e1, e1] == pytest.approx(9.8 + 9.8 - 0.15j, abs=1e-12)
     # absorbing part only: anti-hermitian component is negative semidefinite
     anti = (hn - hn.conj().T) / 2j
     assert np.max(np.linalg.eigvalsh(anti)) < 1e-12
-    # zero linewidth collapses to the hermitian generator
-    p0 = p.replace(kappa_m=0.0, kappa_s=0.0)
-    assert np.array_equal(build_h_nonhermitian(p0), he)
+    # zero linewidth collapses to the hermitian generator, exactly
+    h0 = build_h_nonhermitian(p.replace(kappa_m=0.0, kappa_s=0.0))
+    assert np.array_equal(h0, h0.conj().T)
 
 
 # ------------------------------------------------------------ dressed levels

@@ -21,8 +21,9 @@ def _demo_grid():
         axis2=SweepAxis("omega_d", [0.004, 0.01, 0.012]),
         quantity="both_g2",
     )
+    # powers of ten, whose log10 is exact, so the CSV bytes depend on no libm
     num = np.array([[1e-3, 1e-4, np.nan], [1e-7, 1e-6, 1e-5]])
-    ana = np.array([[2e-3, 2e-4, np.nan], [2e-7, 2e-6, 2e-5]])
+    ana = np.array([[1e-2, 1e-3, np.nan], [1e-6, 1e-5, 1e-4]])
     failures = [((0, 2), "probe: boom")]
     return ResultGrid(spec=spec, planes={"g2_numeric": num, "g2_analytic": ana},
                       failures=failures)
@@ -51,6 +52,15 @@ def test_grid_csv_layout():
     # failed cell serializes as nan
     assert lines[3].split(",")[2] == "nan"
     assert "\r" not in text
+    assert text == (
+        "delta,omega_d,log10_g2_numeric,log10_g2_analytic\n"
+        "-9.8000000000000007,0.0040000000000000001,-3,-2\n"
+        "-9.8000000000000007,0.01,-4,-3\n"
+        "-9.8000000000000007,0.012,nan,nan\n"
+        "9.8000000000000007,0.0040000000000000001,-7,-6\n"
+        "9.8000000000000007,0.01,-6,-5\n"
+        "9.8000000000000007,0.012,-5,-4\n"
+    )
 
 
 def test_grid_csv_one_axis():
@@ -66,6 +76,11 @@ def test_grid_csv_one_axis():
     assert lines[0] == "delta,p0,p1,p2,p3"
     # populations are plain values, no log scaling
     assert lines[1].split(",")[1] == "0.10000000000000001"
+    assert text == (
+        "delta,p0,p1,p2,p3\n"
+        "1,0.10000000000000001,0.20000000000000001,0.30000000000000004,0.40000000000000002\n"
+        "2,0.20000000000000001,0.40000000000000002,0.60000000000000009,0.80000000000000004\n"
+    )
 
 
 def test_grid_json_document():
@@ -102,6 +117,9 @@ def test_timeseries_serialization(broad_params):
     assert len(doc["planes"]["g2"]) == 5
     assert doc["planes"]["g2"][0] is None
     assert doc["metadata"]["gamma_mhz"] == 2.0
+    made = TimeSeries(times=np.array([0.0, 0.5, 1.0]),
+                      planes={"p0": np.array([1.0, 0.75, 0.5]), "g2": np.array([np.nan, 0.25, 1e-7])})
+    assert timeseries_csv(made) == "time,p0,g2\n0,1,nan\n0.5,0.75,0.25\n1,0.5,9.9999999999999995e-08\n"
 
 
 def test_levels_serialization():
@@ -112,6 +130,13 @@ def test_levels_serialization():
     assert len(lines) == 5
     assert lines[1].split(",")[0] == "1"
     assert lines[1].split(",")[1] == "-1"
+    assert text == (
+        "n,branch,energy,c_g_n,c_e_nm1\n"
+        "1,-1,6,0.70710678118654746,-0.70710678118654746\n"
+        "1,1,8,0.70710678118654746,0.70710678118654746\n"
+        "2,-1,12.585786437626904,0.70710678118654746,-0.70710678118654779\n"
+        "2,1,15.414213562373096,0.70710678118654746,0.70710678118654779\n"
+    )
     doc = json.loads(levels_json(levels))
     assert len(doc["levels"]) == 4
     assert doc["levels"][0]["n"] == 1

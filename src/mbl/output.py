@@ -4,8 +4,18 @@ CSV files are deterministic: one `np.savetxt` call per table writes
 17-significant-digit floats (`%.17g`, the bytes `format_float` gives), LF
 line endings, one row per grid point in axis1-major order. Correlation
 columns are emitted as log10 (raw values live in ResultGrid); populations
-and times are raw. JSON documents carry the full spec echo, all value
-planes, failures, and metadata.
+and times are raw.
+
+JSON documents are one compact line, exactly the bytes of
+`json.dumps(doc, allow_nan=False)` plus a newline: floats in shortest
+round-trip form, NaN written as null, and a `metadata` block (version,
+timestamp, `gamma_mhz` when given) as the last key. A grid document holds
+`spec` (the base parameters, both axes, quantity and constraints), `axes`
+(name and values of each axis), `values` (the first column's plane),
+`planes` (every column, as nested axis1-major lists, log10 where the CSV
+is) and `failures` (index and tag of each failed cell). A time series has
+`axes` (time), `planes` and an empty `failures`; a level table has
+`levels`, and a key/value report has `values`.
 """
 
 from __future__ import annotations
@@ -74,14 +84,44 @@ def levels_csv(levels: Iterable[DressedLevel]) -> str:
 
 
 def _jsonable(value):
-    """Floats with NaN mapped to None; arrays to nested lists."""
+    """An array as nested lists, a float as itself; NaN becomes None (JSON null)."""
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        nan = np.isnan(value)
+        return (np.where(nan, None, value) if nan.any() else value).tolist()
     if isinstance(value, float) and math.isnan(value):
         return None
     return value
+
+
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def _write(value, memo: dict, out: list) -> None:
+    """Append to `out` the text `json.dumps(value, allow_nan=False)` gives (string keys only).
+
+    Dicts, and lists of dicts, are laid out here; every other value goes
+    whole to the C encoder, once per object, so a list the document holds in
+    two places (`values` and its plane, an axis in `axes` and in `spec`) is
+    encoded once.
+    """
+    if isinstance(value, dict):
+        out.append("{")
+        for n, (k, v) in enumerate(value.items()):
+            out.append(f"{', ' if n else ''}{_ENCODER.encode(k)}: ")
+            _write(v, memo, out)
+        out.append("}")
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        out.append("[")
+        for n, v in enumerate(value):
+            if n:
+                out.append(", ")
+            _write(v, memo, out)
+        out.append("]")
+    else:
+        # keyed by id(): the document keeps every object alive while it is encoded
+        if id(value) not in memo:
+            memo[id(value)] = _ENCODER.encode(value)
+        out.append(memo[id(value)])
 
 
 def _json_text(doc: dict, gamma_mhz: float | None) -> str:
@@ -92,7 +132,10 @@ def _json_text(doc: dict, gamma_mhz: float | None) -> str:
     }
     if gamma_mhz is not None:
         meta["gamma_mhz"] = gamma_mhz
-    return json.dumps({**doc, "metadata": meta}, indent=2, allow_nan=False) + "\n"
+    out: list[str] = []
+    _write({**doc, "metadata": meta}, {}, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def grid_json(grid: ResultGrid, gamma_mhz: float | None = None) -> str:

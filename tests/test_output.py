@@ -153,6 +153,49 @@ def test_mapping_serialization():
     assert "metadata" in doc
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token} written")
+
+
+_JSON_DOCUMENTS = {
+    "grid": lambda: grid_json(_demo_grid(), gamma_mhz=1.5),
+    "timeseries": lambda: timeseries_json(TimeSeries(
+        times=np.array([0.0, 0.5, 1.0]),
+        planes={"p0": np.array([1.0, 0.75, 0.5]), "g2": np.array([np.nan, 0.25, 1e-7])})),
+    "levels": lambda: levels_json(dressed_spectrum(7.0, 7.0, 2.0, n_max=2)),
+    "mapping": lambda: mapping_json({"g2": 0.5, "log10_g2": float("nan")}, gamma_mhz=2.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_JSON_DOCUMENTS))
+def test_json_documents_are_compact_and_strict(kind):
+    text = _JSON_DOCUMENTS[kind]()
+    # one line, exactly what the C encoder writes for the parsed document
+    assert text == json.dumps(json.loads(text), allow_nan=False) + "\n"
+    doc = json.loads(text, parse_constant=_reject_constant)  # no NaN or Infinity token
+    assert list(doc)[-1] == "metadata"
+
+
+def test_grid_json_values_are_exact():
+    rng = np.random.default_rng(13)
+    grid = _demo_grid()
+    for name in grid.planes:  # arbitrary magnitudes; the NaN failure cell stays
+        grid.planes[name] = np.where(np.isnan(grid.planes[name]), np.nan, 10.0 ** rng.uniform(-9, 1, (2, 3)))
+    doc = json.loads(grid_json(grid))
+    for name, raw in grid.planes.items():
+        expected = np.log10(raw)
+        cells = doc["planes"][f"log10_{name}"]
+        nulls = np.array([[c is None for c in row] for row in cells])
+        assert np.array_equal(nulls, np.isnan(expected))
+        written = np.array([c for row in cells for c in row if c is not None])
+        assert np.array_equal(written.view(np.uint64), expected[~nulls].view(np.uint64))  # bit for bit
+    assert doc["values"] == doc["planes"]["log10_g2_numeric"]
+    spec = grid.spec
+    for k, axis in enumerate((spec.axis1, spec.axis2)):
+        assert doc["axes"][k] == {"name": axis.name, "values": list(axis.values)}
+        assert doc["spec"][f"axis{k + 1}"] == doc["axes"][k]
+
+
 def test_write_text_lf_bytes(tmp_path):
     target = tmp_path / "out.csv"
     write_text(str(target), "a,b\n1,2\n")

@@ -24,9 +24,9 @@ from . import __version__
 from .analytic import STATE_NAMES, amplitude_g2, closed_form_amplitudes, optimal_detuning
 from .errors import NumericalError, ParameterError
 from .lindblad import (
-    build_liouvillian,
     defined_g2,
     fock_populations,
+    liouvillian_workspace,
     population_moments,
     steady_coordinates,
     unvectorize,
@@ -276,7 +276,7 @@ def _report(pairs: dict[str, float], out: str | None, fmt: str, gamma: float | N
 def _cmd_steady(opts: dict, out: str | None, fmt: str, gamma: float | None) -> int:
     params = _params(opts)
     space = params.space()
-    x, residual = steady_coordinates(build_liouvillian(params))
+    x, residual = steady_coordinates(liouvillian_workspace(params))
     # ρ is Hermitian by construction, so the report carries no Hermiticity defect
     rho = unvectorize(x, space.total_dim)
     pops = fock_populations(rho, space)

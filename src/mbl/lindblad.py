@@ -18,6 +18,12 @@ evens out the rows of the steady-state system before it is LU-solved.
 Scenario A couples the oscillator to a thermal bath (occupation n_th) and
 damps the reduced two-level system; scenario B keeps only the two zero-
 temperature channels.
+
+There is one generator buffer per truncation, cached with the term table
+that fills it: `liouvillian_workspace` writes a point's generator into it
+and returns the buffer itself, so a numeric point allocates no fresh
+D² × D² matrix. The buffer is not reentrant: it holds the last point built
+for its truncation. `build_liouvillian` returns a copy of it.
 """
 
 from __future__ import annotations
@@ -131,7 +137,7 @@ def _real_entries(sandwiches: list[tuple[np.ndarray, np.ndarray]], dim: int) -> 
 
 
 @functools.lru_cache(maxsize=8)
-def _liouvillian_terms(space: Space) -> tuple[np.ndarray, np.ndarray]:
+def _liouvillian_terms(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Term table of the real generator: L = Σₖ cₖ Lₖ with cₖ from `_liouvillian_coefficients`.
 
     Rows 0-4 are -i[Hₖ, ·] for the model's `hamiltonian_terms`; rows 5-7 are
@@ -139,7 +145,9 @@ def _liouvillian_terms(space: Space) -> tuple[np.ndarray, np.ndarray]:
     The Lₖ are stored on the union of their nonzero patterns, flat indices
     `pattern` and an (8, pattern.size) value matrix, both read-only. A dense
     (8, d², d²) stack would be over 10x larger at fock_dim 6 and over 100x at
-    fock_dim 20.
+    fock_dim 20. The third entry is the truncation's zeroed d² × d² generator
+    buffer; only entries on `pattern` are ever written into it, so every
+    other entry stays zero.
     """
     dim = space.total_dim
     eye = np.eye(dim)
@@ -158,7 +166,7 @@ def _liouvillian_terms(space: Space) -> tuple[np.ndarray, np.ndarray]:
     pattern, values = pattern[nonzero], values[:, nonzero]
     pattern.setflags(write=False)
     values.setflags(write=False)
-    return pattern, values
+    return pattern, values, np.zeros((dim * dim, dim * dim))
 
 
 def _liouvillian_coefficients(params: SystemParams) -> np.ndarray:
@@ -167,21 +175,33 @@ def _liouvillian_coefficients(params: SystemParams) -> np.ndarray:
     return np.concatenate([hamiltonian_coefficients(params), [loss, gain, 0.5 * params.kappa_s]])
 
 
+def liouvillian_workspace(params: SystemParams) -> np.ndarray:
+    """Real generator of the master equation, written into its truncation's one buffer.
+
+    The point's coefficients times the cached term table go onto the
+    table's fixed pattern; the buffer's other entries are never written and
+    stay zero. The returned array is the buffer itself: it is valid until
+    the next call for the same truncation, and it must not be written to.
+    `mbl` runs one point at a time, so its steady-state paths build here;
+    use `build_liouvillian` for a generator to keep.
+    """
+    pattern, values, liouv = _liouvillian_terms(params.space())
+    liouv.reshape(-1)[pattern] = _liouvillian_coefficients(params) @ values
+    return liouv
+
+
 def build_liouvillian(params: SystemParams) -> np.ndarray:
     """Real generator of the master equation in the balanced coordinates of `vectorize`.
 
     Scenario A: oscillator loss at (kappa_m/2)(n_th + 1), oscillator thermal
     excitation at (kappa_m/2) n_th, two-level decay at kappa_s/2.
     Scenario B: the two loss channels only (its n_th is 0 by validation).
-    The operator terms come from a table cached per truncation; each call
-    returns a fresh array.
+    The operator terms come from a table cached per truncation, and the
+    generator is built in that truncation's one buffer by
+    `liouvillian_workspace`; each call returns a fresh copy of it, so the
+    result outlives later builds. The buffer is not reentrant.
     """
-    space = params.space()
-    pattern, values = _liouvillian_terms(space)
-    d2 = space.total_dim**2
-    liouv = np.zeros((d2, d2))
-    liouv.reshape(-1)[pattern] = _liouvillian_coefficients(params) @ values
-    return liouv
+    return liouvillian_workspace(params).copy()
 
 
 def _check_generator(liouv: np.ndarray) -> int:

@@ -28,7 +28,15 @@ import numpy as np
 from .analytic import analytic_g2, analytic_g2_array
 from .core import projector
 from .errors import NumericalError, ParameterError
-from .lindblad import build_liouvillian, evolve, fock_populations, g2_from_populations, g2_zero, steady_state
+from .lindblad import (
+    build_liouvillian,
+    evolve,
+    fock_populations,
+    g2_from_populations,
+    g2_zero,
+    liouvillian_workspace,
+    steady_state,
+)
 from .model import SWEEPABLE_FIELDS, SystemParams, finite_real, invalid_mask
 
 AXIS_ALIASES: dict[str, tuple[str, ...]] = {
@@ -234,7 +242,7 @@ def evaluate_point(params: SystemParams, quantity: str) -> dict[str, float]:
     out: dict[str, float] = {}
     if quantity in ("g2_numeric", "both_g2", "populations"):
         space = params.space()
-        rho = steady_state(build_liouvillian(params))
+        rho = steady_state(liouvillian_workspace(params))
         if quantity == "populations":
             pops = fock_populations(rho, space)
             for k in range(N_POPULATION_COLUMNS):

@@ -1,4 +1,6 @@
 """Grid machinery: axes, constraints, execution, presets."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from mbl.core import projector
 from mbl.errors import NumericalError, ParameterError
 from mbl.analytic import analytic_g2
 from mbl.lindblad import (build_liouvillian, evolve, fock_populations, g2_zero,
-                          steady_state)
+                          liouvillian_workspace, steady_state)
 from mbl.model import SystemParams
 from mbl.sweep import (AXIS_ALIASES, FIGURE_NAMES, Constraint, EvolutionJob,
                        SweepAxis, SweepSpec, evaluate_point, figure_preset,
@@ -300,6 +302,51 @@ def test_evaluate_point_rejects_dark_state():
     p = SystemParams(delta_m=2.0, delta_s=2.0, g_ms=4.0)
     with pytest.raises(NumericalError):
         evaluate_point(p, "g2_numeric")
+
+
+def test_generator_workspace_carries_nothing_between_points(broad_params):
+    # two scenarios at two truncations, so cells alternately reuse and switch
+    # buffers; the dark cell fails after its generator was written
+    bright_b = SystemParams(delta_m=2.0, delta_s=2.0, g_ms_tilde=4.0, omega_d=0.01,
+                            kappa_m=1.0, kappa_s=0.5, scenario="B")
+    points = [broad_params, bright_b, broad_params.replace(fock_dim=4, delta_m=-3.0),
+              bright_b.replace(fock_dim=4, omega_d=0.02)]
+    dark = bright_b.replace(omega_d=0.0)
+    want = [g2_zero(steady_state(build_liouvillian(p)), p.space()) for p in points]
+    for k in [0, 1, 2, 3, None, 1, 0, 3, None, 2, 0]:
+        if k is None:
+            with pytest.raises(NumericalError):
+                evaluate_point(dark, "g2_numeric")
+        else:
+            assert evaluate_point(points[k], "g2_numeric")["g2_numeric"] == want[k], k
+    # build_liouvillian hands out copies that outlive the buffer's next point
+    first, second = build_liouvillian(bright_b), build_liouvillian(bright_b)
+    buffer = liouvillian_workspace(bright_b)
+    assert np.array_equal(first, buffer) and np.array_equal(second, buffer)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, buffer) and not np.shares_memory(second, buffer)
+    first[:] = np.nan
+    assert evaluate_point(bright_b, "g2_numeric")["g2_numeric"] == want[1]
+    assert np.array_equal(second, liouvillian_workspace(bright_b))
+
+
+def test_numeric_point_allocates_no_generator(broad_params):
+    # after a warm-up a cell writes into its truncation's buffer, so no
+    # allocation as large as one D² × D² float64 generator is made
+    evaluate_point(broad_params, "g2_numeric")
+    d2 = broad_params.space().total_dim ** 2
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        evaluate_point(broad_params, "g2_numeric")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak - before < d2 * d2 * 8, peak - before
 
 
 # -------------------------------------------------------------- evolution

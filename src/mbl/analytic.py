@@ -44,8 +44,8 @@ class AmplitudeSet:
         return np.array([self.c_g0, self.c_e0, self.c_g1, self.c_e1, self.c_g2], dtype=complex)
 
 
-def _require_cascade(params: SystemParams, what: str) -> None:
-    """The amplitude cascade models scenario A at zero temperature only."""
+def require_cascade(params: SystemParams, what: str) -> None:
+    """ParameterError naming `what` unless `params` is in the cascade's domain: scenario A at n_th = 0."""
     if params.scenario != "A":
         raise ParameterError(f"{what} is defined for scenario A only (got scenario {params.scenario!r})")
     if params.n_th != 0.0:
@@ -61,7 +61,7 @@ def reduced_matrix(params: SystemParams) -> np.ndarray:
     one-quantum amplitudes: the perturbative hierarchy treats each manifold
     as driven only from below, so rows 1-2 keep no couplings to states 3-4.
     """
-    _require_cascade(params, "the reduced amplitude system")
+    require_cascade(params, "the reduced amplitude system")
     # the five retained states hold at most two quanta, so three levels suffice
     space = Space(3)
     h = build_h_nonhermitian(params.replace(fock_dim=3))
@@ -150,7 +150,7 @@ def closed_form_amplitudes(params: SystemParams) -> AmplitudeSet:
     Valid for scenario A without a thermal bath. Raises NumericalError where
     the expressions degenerate (possible only when both decay rates vanish).
     """
-    _require_cascade(params, "closed_form_amplitudes")
+    require_cascade(params, "closed_form_amplitudes")
     singular, fractions = _cascade(vars(params))
     if singular:
         raise NumericalError("closed-form amplitudes are singular at these parameters")
@@ -190,8 +190,8 @@ def analytic_g2_array(fields) -> np.ndarray:
 
     `fields` maps the SystemParams field names to float64 arrays that
     broadcast against each other. They must be valid scenario-A points with
-    n_th = 0; nothing is validated here. NaN marks a point where
-    `analytic_g2` raises NumericalError (singular closed form or undefined g2).
+    n_th = 0; nothing is validated here. An element is NaN where `analytic_g2`
+    raises NumericalError, else its value, itself NaN or inf on overflow.
     """
     with np.errstate(all="ignore"):
         singular, (_, (n1, d1), _, (n2, d2)) = _cascade(fields)

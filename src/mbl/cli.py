@@ -24,8 +24,8 @@ from . import __version__
 from .analytic import STATE_NAMES, amplitude_g2, closed_form_amplitudes, optimal_detuning
 from .errors import NumericalError, ParameterError
 from .lindblad import (
-    defined_g2,
     fock_populations,
+    g2_zero,
     liouvillian_workspace,
     population_moments,
     steady_coordinates,
@@ -50,7 +50,9 @@ from .sweep import (
     EvolutionJob,
     SweepAxis,
     SweepSpec,
+    correlation,
     figure_preset,
+    population_columns,
     run_evolution,
     run_sweep,
 )
@@ -286,13 +288,12 @@ def _cmd_steady(opts: dict, out: str | None, fmt: str, gamma: float | None) -> i
         "residual": residual,
         "occupation": float(population_moments(pops)[0]),
     }
-    for k in range(min(4, pops.size)):
-        report[f"p{k}"] = float(pops[k])
+    report.update({f"p{k}": value for k, value in enumerate(population_columns(pops).tolist())})
     failed: str | None = None
     try:
-        g2 = defined_g2(pops)
+        g2 = correlation("g2_numeric", g2_zero(rho, space))
         report["g2"] = g2
-        report["log10_g2"] = math.log10(g2) if g2 > 0 else float("nan")
+        report["log10_g2"] = math.log10(g2)
     except NumericalError as exc:
         failed = str(exc)
     _report(report, out, fmt, gamma)
@@ -308,7 +309,7 @@ def _cmd_analytic(opts: dict, out: str | None, fmt: str, gamma: float | None) ->
     for name, value in zip(STATE_NAMES, amps.as_array()):
         report[f"{name}_re"] = value.real
         report[f"{name}_im"] = value.imag
-    g2 = amplitude_g2(amps)
+    g2 = correlation("g2_analytic", amplitude_g2(amps))
     report["g2_analytic"] = g2
     report["log10_g2_analytic"] = math.log10(g2)
     plus, minus = optimal_detuning(params.g_ms)

@@ -317,18 +317,13 @@ def g2_from_populations(pops: np.ndarray) -> np.ndarray:
     return np.where(defined, pairs / np.where(defined, occupation * occupation, 1.0), np.nan)
 
 
-def defined_g2(pops: np.ndarray) -> float:
-    """g²(0) of one population vector; NumericalError when the mode is unoccupied (undefined ratio)."""
-    g2 = float(g2_from_populations(pops))
-    if math.isnan(g2):
-        raise NumericalError("g2 is undefined: oscillator mode is unoccupied")
-    return g2
-
-
 def g2_zero(rho: np.ndarray, space: Space) -> float:
     """Equal-time second-order correlation ⟨m†m†mm⟩ / ⟨m†m⟩².
 
     Both moments are diagonal in the Fock basis: Σ n(n-1) Pₙ and Σ n Pₙ.
     Raises NumericalError when the mode is unoccupied (undefined ratio).
     """
-    return defined_g2(fock_populations(rho, space))
+    g2 = float(g2_from_populations(fock_populations(rho, space)))
+    if math.isnan(g2):
+        raise NumericalError("g2 is undefined: oscillator mode is unoccupied")
+    return g2

@@ -97,8 +97,7 @@ class SystemParams:
             if getattr(self, name) != 0.0:
                 raise ParameterError(f"scenario {self.scenario} has no {name} term; {name} must be 0, "
                                      f"got {getattr(self, name)}")
-        if not isinstance(self.fock_dim, int) or isinstance(self.fock_dim, bool) or self.fock_dim < 2:
-            raise ParameterError(f"fock_dim must be an integer >= 2, got {self.fock_dim!r}")
+        self.space()  # the truncation rule is Space's
 
     @property
     def coupling(self) -> float:

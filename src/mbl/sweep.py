@@ -11,10 +11,10 @@ never abort the grid. Closed-form columns are computed for blocks of rows
 at once by `analytic_g2_array`, the single-point closed form run on arrays,
 so each cell equals `analytic_g2` bit for bit. Cells with invalid
 parameters or a singular or undefined closed form, and all numeric
-columns, go one after another through the `evaluate_point` a single-point
-call uses, so failures carry the same tags and reruns are bit-identical.
-The closed-form route has no thermal bath, so its quantities reject a
-sweep with n_th ≠ 0.
+columns, go one after another through `evaluate_point`, so reruns are
+bit-identical. Cells and single points share `g2_zero`, `analytic_g2`,
+`population_columns` and `correlation`, so both fail with one message.
+The closed form has no thermal bath: its quantities reject n_th ≠ 0.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import analytic_g2, analytic_g2_array
+from .analytic import analytic_g2, analytic_g2_array, require_cascade
 from .core import projector
 from .errors import NumericalError, ParameterError
 from .lindblad import (
@@ -184,11 +184,10 @@ class SweepSpec:
             if other != rule:
                 raise ParameterError(f"constraint {rule!r} reads {parsed.source!r}, which constraint {other!r} sets")
         if self.quantity in ("g2_analytic", "both_g2"):
-            if self.base.scenario != "A":
-                raise ParameterError(f"quantity {self.quantity!r} needs the closed-form route, which is scenario A only")
-            if self.base.n_th != 0.0 or "n_th" in setters:
-                raise ParameterError(f"quantity {self.quantity!r} needs the closed-form route, which has no thermal "
-                                     "bath; n_th must be 0 and set by no axis or constraint")
+            require_cascade(self.base, f"the closed form behind quantity {self.quantity!r}")
+            if "n_th" in setters:
+                raise ParameterError(f"the closed form behind quantity {self.quantity!r} has no thermal bath, "
+                                     f"but {setters['n_th']} sets n_th")
         object.__setattr__(self, "_grid", self._field_grid())
 
     def _field_grid(self) -> dict[str, np.ndarray]:
@@ -237,6 +236,20 @@ class ResultGrid:
         return self.planes[self.spec.column_names()[0]]
 
 
+def correlation(name: str, value: float) -> float:
+    """`value` as a table or report may carry it: log10 is taken, so NumericalError unless positive and finite."""
+    if not math.isfinite(value) or value <= 0.0:
+        raise NumericalError(f"{name} = {value!r} is not a positive finite correlation")
+    return value
+
+
+def population_columns(pops: np.ndarray) -> np.ndarray:
+    """p0..p3 of populations on the last axis, one vector or a stack; zero above the truncation."""
+    out = np.zeros((*pops.shape[:-1], N_POPULATION_COLUMNS))
+    out[..., : pops.shape[-1]] = pops[..., :N_POPULATION_COLUMNS]
+    return out
+
+
 def evaluate_point(params: SystemParams, quantity: str) -> dict[str, float]:
     """Compute the requested quantity columns for one parameter point."""
     out: dict[str, float] = {}
@@ -244,9 +257,7 @@ def evaluate_point(params: SystemParams, quantity: str) -> dict[str, float]:
         space = params.space()
         rho = steady_state(liouvillian_workspace(params))
         if quantity == "populations":
-            pops = fock_populations(rho, space)
-            for k in range(N_POPULATION_COLUMNS):
-                value = float(pops[k]) if k < pops.size else 0.0
+            for k, value in enumerate(population_columns(fock_populations(rho, space)).tolist()):
                 if not math.isfinite(value):
                     raise NumericalError(f"population p{k} is not finite")
                 out[f"p{k}"] = value
@@ -254,10 +265,7 @@ def evaluate_point(params: SystemParams, quantity: str) -> dict[str, float]:
         out["g2_numeric"] = g2_zero(rho, space)
     if quantity in ("g2_analytic", "both_g2"):
         out["g2_analytic"] = analytic_g2(params)
-    for name, value in out.items():
-        if not math.isfinite(value) or value <= 0.0:
-            raise NumericalError(f"{name} = {value!r} is not a positive finite correlation")
-    return out
+    return {name: correlation(name, value) for name, value in out.items()}
 
 
 def _closed_form_pass(spec: SweepSpec, plane: np.ndarray) -> np.ndarray:
@@ -336,8 +344,7 @@ def run_evolution(job: EvolutionJob) -> TimeSeries:
     liouv = build_liouvillian(job.base)
     times = job.times()
     pops = fock_populations(evolve(liouv, projector(space, 0, 0), times), space)
-    planes = {f"p{k}": pops[:, k] if k < space.fock_dim else np.zeros(times.size)
-              for k in range(N_POPULATION_COLUMNS)}
+    planes = {f"p{k}": column for k, column in enumerate(population_columns(pops).T)}
     planes["g2"] = g2_from_populations(pops)
     return TimeSeries(times=times, planes=planes)
 

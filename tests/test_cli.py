@@ -69,35 +69,58 @@ def test_steady_writes_file(capsys, tmp_path):
 
 STEADY_KEYS = ["trace", "min_eigenvalue", "residual", "occupation", "p0", "p1", "p2", "p3", "g2", "log10_g2"]
 SCENARIO_B = ["--scenario", "B", "--g-ms-tilde", "50.1", "--delta", "25.05", "--omega-d", "0.01", "--kappa", "0.15"]
+BRIGHT_PARAMS = mbl.SystemParams(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_s=0.06, omega_d=0.01,
+                                 kappa_m=0.15, kappa_s=0.15)
+
+
+def one_cell(params, quantity):
+    """A one-cell sweep at `params`."""
+    axis = mbl.SweepAxis("omega_d", [params.omega_d])
+    return mbl.run_sweep(mbl.SweepSpec(base=params, axis1=axis, quantity=quantity))
+
+
+def one_cell_failure(params, quantity):
+    """The message of the one failure a one-cell sweep at `params` records, without its class."""
+    [(_, tag)] = one_cell(params, quantity).failures
+    kind, message = tag.split(": ", 1)
+    assert kind == "NumericalError"
+    return message
 
 
 @pytest.mark.parametrize("argv, params", [
-    (BRIGHT, mbl.SystemParams(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_s=0.06, omega_d=0.01,
-                              kappa_m=0.15, kappa_s=0.15)),
+    (BRIGHT, BRIGHT_PARAMS),
     (SCENARIO_B, mbl.SystemParams(scenario="B", g_ms_tilde=50.1, delta_m=25.05, delta_s=25.05,
                                   omega_d=0.01, kappa_m=0.15, kappa_s=0.15)),
-], ids=["A", "B"])
+    ([*BRIGHT, "--fock-dim", "3"], BRIGHT_PARAMS.replace(fock_dim=3)),
+], ids=["A", "B", "fock_dim-3"])
 def test_steady_report_is_one_solve(capsys, tmp_path, argv, params):
     target = tmp_path / "steady.json"
     code, out, _ = run(capsys, "steady", *argv, "--out", str(target), "--format", "json")
     assert code == 0
-    assert [line.split(" = ")[0] for line in out.splitlines()] == STEADY_KEYS
     values = json.loads(target.read_text())["values"]
     assert list(values) == STEADY_KEYS
+    # the printed report is the file's, and p0..p3 are there with zeros above the truncation
+    assert out.splitlines() == [f"{key} = {value:.12g}" for key, value in values.items()]
     # the report reads the same solve the library routes do, bit for bit
     liouv = mbl.build_liouvillian(params)
     rho, space = mbl.steady_state(liouv), params.space()
     assert values["residual"] == steady_coordinates(liouv)[1]
-    assert [values[f"p{k}"] for k in range(4)] == mbl.fock_populations(rho, space)[:4].tolist()
+    pops = [values[f"p{k}"] for k in range(4)]
+    assert pops == [*mbl.fock_populations(rho, space)[:4].tolist(), 0.0, 0.0][:4]
+    assert pops == [one_cell(params, "populations").planes[f"p{k}"][0, 0] for k in range(4)]
     assert values["g2"] == mbl.g2_zero(rho, space)
 
 
 def test_steady_dark_report_drops_only_g2(capsys, tmp_path):
     target = tmp_path / "steady.json"
-    code, out, _ = run(capsys, "steady", "--out", str(target), "--format", "json")
-    assert code == 2
-    assert [line.split(" = ")[0] for line in out.splitlines()] == [*STEADY_KEYS[:-2], "g2"]
-    assert list(json.loads(target.read_text())["values"]) == STEADY_KEYS[:-2]
+    # an unoccupied mode, and g2 = 0 at fock_dim 2, which keeps no second level
+    for argv, params in (([], mbl.SystemParams()), ([*BRIGHT, "--fock-dim", "2"], BRIGHT_PARAMS.replace(fock_dim=2))):
+        code, out, _ = run(capsys, "steady", *argv, "--out", str(target), "--format", "json")
+        assert code == 2
+        assert [line.split(" = ")[0] for line in out.splitlines()] == [*STEADY_KEYS[:-2], "g2"]
+        assert list(json.loads(target.read_text())["values"]) == STEADY_KEYS[:-2]
+        # a sweep cell at the same point fails with the same message
+        assert out.splitlines()[-1] == f"g2 = undefined ({one_cell_failure(params, 'g2_numeric')})"
 
 
 @pytest.mark.parametrize("argv, exit_code", [
@@ -128,6 +151,16 @@ def test_analytic_landmark_point(capsys):
     assert vals["optimal_delta_minus"] == -9.8
     assert vals["c_g1_re"] == pytest.approx(-0.00102039322, abs=1e-9)
     assert vals["c_g1_im"] == pytest.approx(0.133329428767, abs=1e-9)
+
+
+def test_analytic_fails_where_a_cell_does(capsys):
+    # a drive of 1e200 overflows the closed form: the cell records NaN as a failure, and so does the report
+    code, out, err = run(capsys, "analytic", "--delta", "1", "--g-ms", "1", "--omega-s", "0.06",
+                         "--omega-d", "1e200", "--kappa", "0.15")
+    params = mbl.SystemParams(delta_m=1.0, delta_s=1.0, g_ms=1.0, omega_s=0.06, omega_d=1e200,
+                              kappa_m=0.15, kappa_s=0.15)
+    assert (code, out) == (2, "")
+    assert err == f"numerical error: {one_cell_failure(params, 'g2_analytic')}\n"
 
 
 def test_analytic_rejects_beam_splitter_layout(capsys):

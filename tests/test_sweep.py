@@ -1,4 +1,5 @@
 """Grid machinery: axes, constraints, execution, presets."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -94,10 +95,9 @@ def test_spec_validation():
                   axis2=SweepAxis.linspace("delta_m", 0, 1, 3))
     # closed form exists only for the directly driven layout
     base_b = SystemParams(g_ms_tilde=50.1, omega_d=0.01, scenario="B")
-    with pytest.raises(ParameterError):
-        SweepSpec(base=base_b, axis1=ax, quantity="g2_analytic")
-    with pytest.raises(ParameterError):
-        SweepSpec(base=base_b, axis1=ax, quantity="both_g2")
+    for quantity in ("g2_analytic", "both_g2"):
+        with pytest.raises(ParameterError, match=f"quantity '{quantity}' is defined for scenario A only"):
+            SweepSpec(base=base_b, axis1=ax, quantity=quantity)
 
 
 @pytest.mark.parametrize("base, axis2, rules", [
@@ -111,7 +111,7 @@ def test_spec_rejects_thermal_closed_form(base, axis2, rules, quantity):
     with pytest.raises(ParameterError) as info:
         SweepSpec(base=base, axis1=SweepAxis("delta", [1.0, 2.0]), axis2=axis2, quantity=quantity,
                   constraints=rules)
-    assert "no thermal bath" in str(info.value)
+    assert f"quantity {quantity!r} has no thermal bath" in str(info.value)
     # the master equation models the bath, and the closed form ignores fock_dim
     SweepSpec(base=base, axis1=SweepAxis("delta", [1.0, 2.0]), axis2=axis2, constraints=rules)
     SweepSpec(base=base.replace(n_th=0.0, fock_dim=2), axis1=SweepAxis("delta", [1.0]), quantity=quantity)
@@ -289,6 +289,26 @@ def test_closed_form_grid_fails_cells_like_single_points(quantity):
         assert tag.startswith("ParameterError: kappa_m must be >= 0" if i >= 2 else "NumericalError:"), tag
     for name in spec.column_names():
         assert np.array_equal(grid.planes[name], planes[name], equal_nan=True), name
+
+
+def test_both_g2_failure_tags_are_pinned():
+    # a negative rate fails validation, zero rates a singular solve, and a drive
+    # of 1e200 an overflowing residual; each cell keeps the first error raised
+    spec = SweepSpec(base=SystemParams(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_s=0.06),
+                     axis1=SweepAxis("omega_d", [0.0, 0.001, 1e200]),
+                     axis2=SweepAxis("kappa", [-0.1, 0.0, 0.15]), quantity="both_g2")
+    invalid = "ParameterError: kappa_m must be >= 0, got -0.1"
+    singular = "NumericalError: steady state is degenerate or undefined: Singular matrix"
+    failures = run_sweep(spec).failures
+    assert failures[:6] == [
+        ((0, 0), invalid), ((0, 1), singular),
+        ((1, 0), invalid), ((1, 1), singular),
+        ((2, 0), invalid), ((2, 1), singular),
+    ]
+    # the overflowing residual's digits follow the BLAS thread count (8.498e+183 at one thread)
+    [(index, tag)] = failures[6:]
+    assert index == (2, 2)
+    assert re.fullmatch(r"NumericalError: steady-state residual \d\.\d{3}e\+\d{3} exceeds 1e-10", tag), tag
 
 
 def test_evaluate_point_populations(broad_params):

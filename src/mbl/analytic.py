@@ -173,11 +173,14 @@ def solve_steady_linear(params: SystemParams) -> AmplitudeSet:
 
 
 def amplitude_g2(amps: AmplitudeSet) -> float:
-    """g²(0) from steady amplitudes: 2|c_g2|² / |c_g1|⁴."""
+    """g²(0) from steady amplitudes: 2|c_g2|² / |c_g1|⁴; NumericalError where undefined or not finite."""
     num, den = _g2_terms((amps.c_g1.real, amps.c_g1.imag), (amps.c_g2.real, amps.c_g2.imag))
     if den < _G2_FLOOR:
         raise NumericalError("g2 is undefined: single-quantum amplitude vanishes")
-    return float(num / den)
+    g2 = float(num / den)
+    if not math.isfinite(g2):
+        raise NumericalError(f"g2 = {g2!r} is not finite: the amplitudes overflow")
+    return g2
 
 
 def analytic_g2(params: SystemParams) -> float:
@@ -190,13 +193,14 @@ def analytic_g2_array(fields) -> np.ndarray:
 
     `fields` maps the SystemParams field names to float64 arrays that
     broadcast against each other. They must be valid scenario-A points with
-    n_th = 0; nothing is validated here. An element is NaN where `analytic_g2`
-    raises NumericalError, else its value, itself NaN or inf on overflow.
+    n_th = 0; nothing is validated here. An element is NaN exactly where
+    `analytic_g2` raises NumericalError, else its value.
     """
     with np.errstate(all="ignore"):
         singular, (_, (n1, d1), _, (n2, d2)) = _cascade(fields)
         num, den = _g2_terms(_div(n1, d1), _div(n2, d2))
-        return np.where(singular | (den < _G2_FLOOR), np.nan, num / den)
+        g2 = num / den
+        return np.where(singular | (den < _G2_FLOOR) | ~np.isfinite(g2), np.nan, g2)
 
 
 def optimal_detuning(g: float) -> tuple[float, float]:

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import fields
 
@@ -130,6 +131,8 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        # argparse's own negative-number pattern has no exponent on Python 3.10-3.12: -3e-05 would be a flag
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 
     def error(self, message: str):  # noqa: D102
         raise ParameterError(message)

@@ -5,8 +5,8 @@ as D² real coordinates: ρ_ii, and Re ρ_ij and Im ρ_ij for i < j (the
 coherence-vector form, Breuer & Petruccione 2002 §3.2). They are the
 entries of one real D×D matrix R, read in row-major order, with
 R[i, j] = Re ρ_ij on and above the diagonal and R[i, j] = Im ρ_ij below it.
-The master equation is then dv/dt = L v with L a real D² × D² matrix, and
-decay channels enter as (rate/2)(2 C ρ C† - C†C ρ - ρ C†C).
+The master equation is then dv/dt = L v with L a real D² × D² matrix,
+built from the Hamiltonian terms and jump operators of `model.model_terms`.
 
 The coordinates are balanced by weak-drive order: the coordinate of
 |a⟩⟨b| is ρ's entry divided by ε^(N_a+N_b), where N counts the two-level
@@ -14,10 +14,6 @@ plus oscillator excitations of a basis state. Under weak drive ρ_ab falls
 off with N_a+N_b (Liew & Savona, PRL 104, 183601 (2010)), so the scaling
 evens out the rows of the steady-state system before it is LU-solved.
 ε = 1/2 is a power of two, so the scaling rounds nothing.
-
-Scenario A couples the oscillator to a thermal bath (occupation n_th) and
-damps the reduced two-level system; scenario B keeps only the two zero-
-temperature channels.
 
 There is one generator buffer per truncation, cached with the term table
 that fills it: `liouvillian_workspace` writes a point's generator into it
@@ -34,9 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import QUBIT_DIM, Space, annihilation, expm, qubit_ops
+from .core import QUBIT_DIM, Space, expm
 from .errors import NumericalError, ParameterError
-from .model import SystemParams, hamiltonian_coefficients, hamiltonian_terms
+from .model import SystemParams, model_coefficients, model_terms
 
 STEADY_RESIDUAL_TOL = 1e-10
 
@@ -138,10 +134,11 @@ def _real_entries(sandwiches: list[tuple[np.ndarray, np.ndarray]], dim: int) -> 
 
 @functools.lru_cache(maxsize=8)
 def _liouvillian_terms(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Term table of the real generator: L = Σₖ cₖ Lₖ with cₖ from `_liouvillian_coefficients`.
+    """Term table of the real generator: L = Σₖ cₖ Lₖ with cₖ from `model_coefficients`.
 
-    Rows 0-4 are -i[Hₖ, ·] for the model's `hamiltonian_terms`; rows 5-7 are
-    the dissipators of m, m† and σ₋, all in the balanced real coordinates.
+    Rows 0-4 are -i[Hₖ, ·] for the Hamiltonian terms of `model_terms`, rows
+    5-7 the dissipators C ρ C† - ½{C†C, ρ} of its jump operators, all in the
+    balanced real coordinates.
     The Lₖ are stored on the union of their nonzero patterns, flat indices
     `pattern` and an (8, pattern.size) value matrix, both read-only. A dense
     (8, d², d²) stack would be over 10x larger at fock_dim 6 and over 100x at
@@ -151,11 +148,11 @@ def _liouvillian_terms(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     dim = space.total_dim
     eye = np.eye(dim)
-    m = annihilation(space)
-    terms = [[(-1j * h, eye), (eye, 1j * h)] for h in hamiltonian_terms(space)]
-    for c in (m, m.conj().T, qubit_ops(space)[0]):
-        cdc = c.conj().T @ c
-        terms.append([(2.0 * c, c.conj().T), (-cdc, eye), (eye, -cdc)])
+    hamiltonian, jumps = model_terms(space)
+    terms = [[(-1j * h, eye), (eye, 1j * h)] for h in hamiltonian]
+    for c in jumps:
+        half_cdc = 0.5 * c.conj().T @ c
+        terms.append([(c, c.conj().T), (-half_cdc, eye), (eye, -half_cdc)])
     entries = [_real_entries(sandwiches, dim) for sandwiches in terms]
     flat = np.concatenate([idx for idx, _ in entries])
     row = np.repeat(np.arange(len(entries)), [idx.size for idx, _ in entries])
@@ -169,12 +166,6 @@ def _liouvillian_terms(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return pattern, values, np.zeros((dim * dim, dim * dim))
 
 
-def _liouvillian_coefficients(params: SystemParams) -> np.ndarray:
-    # scenario B has n_th = 0 by validation, so its gain term vanishes
-    loss, gain = 0.5 * params.kappa_m * (params.n_th + 1.0), 0.5 * params.kappa_m * params.n_th
-    return np.concatenate([hamiltonian_coefficients(params), [loss, gain, 0.5 * params.kappa_s]])
-
-
 def liouvillian_workspace(params: SystemParams) -> np.ndarray:
     """Real generator of the master equation, written into its truncation's one buffer.
 
@@ -186,20 +177,19 @@ def liouvillian_workspace(params: SystemParams) -> np.ndarray:
     use `build_liouvillian` for a generator to keep.
     """
     pattern, values, liouv = _liouvillian_terms(params.space())
-    liouv.reshape(-1)[pattern] = _liouvillian_coefficients(params) @ values
+    liouv.reshape(-1)[pattern] = np.concatenate(model_coefficients(params)) @ values
     return liouv
 
 
 def build_liouvillian(params: SystemParams) -> np.ndarray:
     """Real generator of the master equation in the balanced coordinates of `vectorize`.
 
-    Scenario A: oscillator loss at (kappa_m/2)(n_th + 1), oscillator thermal
-    excitation at (kappa_m/2) n_th, two-level decay at kappa_s/2.
-    Scenario B: the two loss channels only (its n_th is 0 by validation).
-    The operator terms come from a table cached per truncation, and the
-    generator is built in that truncation's one buffer by
-    `liouvillian_workspace`; each call returns a fresh copy of it, so the
-    result outlives later builds. The buffer is not reentrant.
+    The Hamiltonian terms, jump operators and rates are those of
+    `model.model_terms` and `model.model_coefficients`. The operator terms
+    come from a table cached per truncation, and the generator is built in
+    that truncation's one buffer by `liouvillian_workspace`; each call
+    returns a fresh copy of it, so the result outlives later builds. The
+    buffer is not reentrant.
     """
     return liouvillian_workspace(params).copy()
 

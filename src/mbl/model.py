@@ -1,4 +1,4 @@
-"""System parameters and Hamiltonian builders.
+"""System parameters, the table of model terms, and Hamiltonian builders.
 
 Two driving scenarios share one rotating-frame parameter container:
 
@@ -131,43 +131,50 @@ def invalid_mask(fields, scenario: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def hamiltonian_terms(space: Space) -> np.ndarray:
-    """Read-only (5, D, D) stack of the Hamiltonian's operator terms.
+def model_terms(space: Space) -> tuple[np.ndarray, np.ndarray]:
+    """The model's operator table: read-only (5, D, D) Hamiltonian terms and (3, D, D) jump operators.
 
-    In order: m†m, σ₊σ₋, (m σ₊ + m† σ₋)/2, m† + m, σₓ/2. The rotating-frame
-    Hamiltonian is their sum weighted by `hamiltonian_coefficients`; in
-    scenario A that is
+    Hamiltonian terms, in order: m†m, σ₊σ₋, (m σ₊ + m† σ₋)/2, m† + m, σₓ/2.
+    Weighted by `model_coefficients`, their sum in scenario A is
 
         delta_m m†m + delta_s σ₊σ₋ + (g_ms/2)(m σ₊ + m† σ₋)
         + (omega_s/2)(σ₊ + σ₋) + omega_d (m† + m),
 
     and scenario B drops the direct two-level drive and uses g_ms_tilde.
+    Jump operators, in order: m (oscillator loss), m† (thermal excitation) and
+    σ₋ (two-level decay); a channel C at rate γ adds γ (C ρ C† - ½{C†C, ρ}) to dρ/dt.
     """
     m = annihilation(space)
     md = m.conj().T
     sm, sp, sx = qubit_ops(space)
-    terms = np.stack([md @ m, sp @ sm, 0.5 * (m @ sp + md @ sm), md + m, 0.5 * sx])
-    terms.setflags(write=False)
-    return terms
+    table = np.stack([md @ m, sp @ sm, 0.5 * (m @ sp + md @ sm), md + m, 0.5 * sx]), np.stack([m, md, sm])
+    for terms in table:
+        terms.setflags(write=False)
+    return table
 
 
-def hamiltonian_coefficients(params: SystemParams) -> np.ndarray:
-    """Weights of `hamiltonian_terms`: delta_m, delta_s, coupling, omega_d, omega_s.
+def model_coefficients(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and rates of `model_terms`, in its order.
 
-    Scenario B has omega_s = 0 by validation, so its direct drive drops out.
+    Weights: delta_m, delta_s, coupling, omega_d, omega_s. Rates: oscillator
+    loss and thermal excitation by a bath of occupation n_th, and kappa_s.
+    Scenario B has omega_s = 0 and n_th = 0 by validation.
     """
-    return np.array([params.delta_m, params.delta_s, params.coupling, params.omega_d, params.omega_s])
+    weights = np.array([params.delta_m, params.delta_s, params.coupling, params.omega_d, params.omega_s])
+    return weights, np.array([params.kappa_m * (params.n_th + 1.0), params.kappa_m * params.n_th, params.kappa_s])
 
 
 def build_h_nonhermitian(params: SystemParams) -> np.ndarray:
     """Effective non-Hermitian Hamiltonian: decay folded into the energies.
 
-    H - i(kappa_m/2) m†m - i(kappa_s/2) σ₊σ₋, with H the rotating-frame
-    Hamiltonian of `hamiltonian_terms`, which it equals at zero linewidths. The
+    H - (i/2) Σⱼ γⱼ Cⱼ†Cⱼ over the jump operators and rates of `model_terms`, with H
+    the rotating-frame Hamiltonian, which it equals at zero linewidths. The
     anti-Hermitian part is negative semi-definite, so amplitudes can only lose norm.
     """
-    damping = np.array([params.kappa_m, params.kappa_s, 0.0, 0.0, 0.0])
-    return np.tensordot(hamiltonian_coefficients(params) - 0.5j * damping, hamiltonian_terms(params.space()), axes=1)
+    hamiltonian, jumps = model_terms(params.space())
+    weights, rates = model_coefficients(params)
+    decay = np.tensordot(rates, jumps.conj().transpose(0, 2, 1) @ jumps, axes=1)
+    return np.tensordot(weights, hamiltonian, axes=1) - 0.5j * decay
 
 
 @dataclass(frozen=True)

@@ -271,9 +271,9 @@ def evaluate_point(params: SystemParams, quantity: str) -> dict[str, float]:
 def _closed_form_pass(spec: SweepSpec, plane: np.ndarray) -> np.ndarray:
     """Fill `plane` with `analytic_g2` by blocks of rows; returns the cells it filled.
 
-    A cell is left out where its parameters are invalid or its value is not
-    a positive finite correlation, so `evaluate_point` can fail it exactly
-    as a single-point call does.
+    A cell is left out where its parameters are invalid or its value is NaN
+    (where `analytic_g2` raises) or not positive, so `evaluate_point` can
+    fail it exactly as a single-point call does.
     """
     n1, n2 = spec.shape
     done = np.zeros((n1, n2), dtype=bool)
@@ -281,7 +281,7 @@ def _closed_form_pass(spec: SweepSpec, plane: np.ndarray) -> np.ndarray:
     for start in range(0, n1, rows):
         block = {name: values[start:start + rows] for name, values in spec._grid.items()}
         g2 = analytic_g2_array(block)
-        ok = ~invalid_mask(block, spec.base.scenario) & np.isfinite(g2) & (g2 > 0.0)
+        ok = ~invalid_mask(block, spec.base.scenario) & (g2 > 0.0)
         plane[start:start + rows][ok] = g2[ok]
         done[start:start + rows] = ok
     return done

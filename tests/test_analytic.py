@@ -193,11 +193,13 @@ def test_array_kernel_matches_single_point():
                   g_ms=rng.uniform(0, 30, n), omega_s=rng.uniform(0, 0.1, n),
                   omega_d=rng.uniform(0, 0.02, n), kappa_m=rng.uniform(0, 1.5, n),
                   kappa_s=rng.uniform(0, 1.5, n))
-    # a dip-tracked stretch, a singular stretch (no loss at delta = g/2) and a dark stretch
+    # a dip-tracked stretch, a singular stretch (no loss at delta = g/2), a dark
+    # stretch and an overflowing one
     fields["delta_m"][:100] = fields["delta_s"][:100] = fields["g_ms"][:100] / 2
     fields["kappa_m"][100:150] = fields["kappa_s"][100:150] = 0.0
     fields["delta_m"][100:150] = fields["delta_s"][100:150] = fields["g_ms"][100:150] / 2
     fields["omega_s"][150:200] = fields["omega_d"][150:200] = 0.0
+    fields["omega_d"][200:250] = 10.0 ** rng.uniform(100, 300, 50)
     got = analytic_g2_array(fields)
     failed = 0
     for k in range(n):
@@ -209,7 +211,7 @@ def test_array_kernel_matches_single_point():
             assert np.isnan(got[k]), k
             continue
         assert got[k] == want, k
-    assert failed == 100
+    assert failed == 150
 
 
 def test_weak_drive_hierarchy(bright_params):
@@ -283,6 +285,15 @@ def test_degenerate_chain_raises():
                      omega_d=0.01, kappa_m=0.0, kappa_s=0.0)
     with pytest.raises(NumericalError):
         closed_form_amplitudes(p)
+
+
+def test_overflow_raises():
+    # a drive of 1e200 overflows the amplitudes: the library raises rather than return NaN
+    p = SystemParams(delta_m=1.0, delta_s=1.0, g_ms=1.0, omega_s=0.06, omega_d=1e200, kappa_m=0.15, kappa_s=0.15)
+    with pytest.raises(NumericalError, match="not finite"):
+        analytic_g2(p)
+    assert np.isnan(analytic_g2_array({name: np.array([value]) for name, value in vars(p).items()
+                                       if isinstance(value, float)}))
 
 
 def test_g2_requires_occupation():

@@ -1,4 +1,5 @@
 """Command-line behavior: flags, configs, outputs, exit codes."""
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 import mbl
-from mbl.cli import main
+from mbl.cli import build_parser, main
+from mbl.errors import ParameterError
 from mbl.lindblad import steady_coordinates
 
 BRIGHT = ["--delta", "9.8", "--g-ms", "19.6", "--omega-s", "0.06",
@@ -743,6 +745,32 @@ def test_unknown_flag_fails(capsys):
     code = main(["steady", "--frobnicate", "3"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_negative_number_pattern_is_widened():
+    # argparse tells a negative number from a flag by this private attribute; the parser replaces it
+    assert isinstance(argparse.ArgumentParser()._negative_number_matcher, re.Pattern)
+    parser, commands = build_parser()
+    for each in (parser, *commands.values()):
+        assert each._negative_number_matcher.match("-3e-05")
+        assert not each._negative_number_matcher.match("-e5")
+    # a real unknown flag still fails, also before a negative value
+    for argv in (["steady", "--frobnicate", "-3e-05"], ["steady", "-3e-05"]):
+        with pytest.raises(ParameterError, match="unrecognized arguments"):
+            parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("command", ["steady", "evolve", "sweep", "figure", "spectrum", "analytic"])
+def test_float_flags_take_negative_exponent_values(command):
+    parser, commands = build_parser()
+    actions = [action for action in commands[command]._actions if action.type is float]
+    assert actions
+    for action in actions:
+        flag = action.option_strings[0]
+        for value in ("-3e-05", "-1E+2", "-.5"):
+            spaced = vars(parser.parse_args([command, flag, value]))
+            assert spaced == vars(parser.parse_args([command, f"{flag}={value}"]))
+            assert spaced == {"command": command, action.dest: float(value)}
 
 
 def test_runtime_needs_no_scipy(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from liouvillian_reference import (dissipator_superop, hamiltonian_superop,
                                    in_coordinates, reference_build,
                                    trace_drift, unvec_columns, vec_columns)
-from mbl.core import Space, projector
+from mbl.core import Space, annihilation, projector, qubit_ops
 from mbl.errors import NumericalError, ParameterError
 from mbl.lindblad import (BALANCE, build_liouvillian, evolve, fock_populations,
                           g2_zero, population_moments, steady_coordinates,
@@ -88,6 +88,31 @@ def test_term_table_matches_direct_build(scenario, thermal, fock_dim):
         assert np.max(np.abs(h - h_ref)) <= 1e-13 * np.max(np.abs(h_ref))
         assert np.max(np.abs(liouv - liouv_ref)) <= 1e-13 * np.max(np.abs(liouv_ref))
         assert trace_drift(liouv, d) <= 1e-12
+
+
+@pytest.mark.parametrize("scenario", ["A", "B"])
+def test_liouvillian_splits_into_nonhermitian_hamiltonian_and_jumps(scenario):
+    # L ρ = -i(H_nh ρ - ρ H_nh†) + Σⱼ γⱼ Cⱼ ρ Cⱼ†: both builds carry the same decay channels
+    rng = np.random.default_rng(1602 + (scenario == "B"))
+    for k in range(24):
+        kw = dict(delta_m=rng.uniform(-30, 30), delta_s=rng.uniform(-30, 30), omega_d=rng.uniform(0, 1),
+                  kappa_m=rng.uniform(0.01, 2), kappa_s=rng.uniform(0.01, 2),
+                  scenario=scenario, fock_dim=int(rng.integers(2, 9)))
+        if scenario == "A":
+            kw.update(g_ms=rng.uniform(0, 30), omega_s=rng.uniform(0, 1), n_th=rng.uniform(0.01, 3) if k % 2 else 0.0)
+        else:
+            kw.update(g_ms_tilde=rng.uniform(0, 60))
+        p = SystemParams(**kw)
+        space = p.space()
+        d = space.total_dim
+        m, sm = annihilation(space), qubit_ops(space)[0]
+        channels = [(p.kappa_m * (p.n_th + 1.0), m), (p.kappa_m * p.n_th, m.conj().T), (p.kappa_s, sm)]
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = a + a.conj().T
+        h = build_h_nonhermitian(p)
+        want = -1j * (h @ rho - rho @ h.conj().T) + sum(rate * c @ rho @ c.conj().T for rate, c in channels)
+        got = unvectorize(build_liouvillian(p) @ vectorize(rho), d)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), kw
 
 
 def test_builds_return_fresh_arrays(broad_params):

@@ -149,6 +149,8 @@ def closed_form_amplitudes(params: SystemParams) -> AmplitudeSet:
 
     Valid for scenario A without a thermal bath. Raises NumericalError where
     the expressions degenerate (possible only when both decay rates vanish).
+    Where they overflow (omega_d = 1e200, say) the amplitudes are IEEE inf or
+    NaN, returned as they are; `amplitude_g2` and `analytic_g2` raise there.
     """
     require_cascade(params, "closed_form_amplitudes")
     singular, fractions = _cascade(vars(params))

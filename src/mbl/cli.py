@@ -47,6 +47,7 @@ from .output import (
 from .sweep import (
     AXIS_ALIASES,
     FIGURE_NAMES,
+    POPULATION_COLUMNS,
     QUANTITIES,
     EvolutionJob,
     SweepAxis,
@@ -291,7 +292,7 @@ def _cmd_steady(opts: dict, out: str | None, fmt: str, gamma: float | None) -> i
         "residual": residual,
         "occupation": float(population_moments(pops)[0]),
     }
-    report.update({f"p{k}": value for k, value in enumerate(population_columns(pops).tolist())})
+    report.update(zip(POPULATION_COLUMNS, population_columns(pops).tolist()))
     failed: str | None = None
     try:
         g2 = correlation("g2_numeric", g2_zero(rho, space))

@@ -231,7 +231,7 @@ def steady_coordinates(liouv: np.ndarray) -> tuple[np.ndarray, float]:
         raise NumericalError("steady-state solve produced non-finite entries")
     residual = float(np.max(np.abs(unvectorize(liouv @ x, d))))
     if residual > STEADY_RESIDUAL_TOL:
-        raise NumericalError(f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.0e}")
+        raise NumericalError(f"steady-state residual exceeds {STEADY_RESIDUAL_TOL:.0e}")
     return x, residual
 
 

@@ -2,9 +2,9 @@
 
 CSV files are deterministic: one `np.savetxt` call per table writes
 17-significant-digit floats (`%.17g`, the bytes `format_float` gives), LF
-line endings, one row per grid point in axis1-major order. Correlation
-columns are emitted as log10 (raw values live in ResultGrid); populations
-and times are raw.
+line endings, one row per grid point in axis1-major order. The columns
+`sweep.CORRELATION_COLUMNS` names are emitted as log10 (raw values live in
+ResultGrid); populations and times are raw.
 
 JSON documents are one compact line, exactly the bytes of
 `json.dumps(doc, allow_nan=False)` plus a newline: floats in shortest
@@ -31,9 +31,7 @@ import numpy as np
 
 from . import __version__
 from .model import DressedLevel
-from .sweep import ResultGrid, TimeSeries
-
-LOG_COLUMNS = ("g2_numeric", "g2_analytic")
+from .sweep import CORRELATION_COLUMNS, ResultGrid, TimeSeries
 
 
 def format_float(x: float) -> str:
@@ -43,11 +41,11 @@ def format_float(x: float) -> str:
 
 
 def _column_header(name: str) -> str:
-    return f"log10_{name}" if name in LOG_COLUMNS else name
+    return f"log10_{name}" if name in CORRELATION_COLUMNS else name
 
 
 def _transform(name: str, values: np.ndarray) -> np.ndarray:
-    if name in LOG_COLUMNS:
+    if name in CORRELATION_COLUMNS:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.log10(values)
     return values

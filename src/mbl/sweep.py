@@ -44,14 +44,22 @@ AXIS_ALIASES: dict[str, tuple[str, ...]] = {
     "kappa": ("kappa_m", "kappa_s"),
 }
 
-QUANTITIES = ("g2_numeric", "g2_analytic", "both_g2", "populations")
+POPULATION_COLUMNS = ("p0", "p1", "p2", "p3")
+# the columns a cell passes through `correlation`, and a table writes as log10
+CORRELATION_COLUMNS = ("g2_numeric", "g2_analytic")
+
+# each quantity's columns, in table order
+QUANTITY_COLUMNS: dict[str, tuple[str, ...]] = {
+    "g2_numeric": ("g2_numeric",),
+    "g2_analytic": ("g2_analytic",),
+    "both_g2": CORRELATION_COLUMNS,
+    "populations": POPULATION_COLUMNS,
+}
+QUANTITIES = tuple(QUANTITY_COLUMNS)
 
 # grid cells per array pass of the closed form; a whole-grid pass would hold
 # dozens of grid-sized temporaries at once
 _BLOCK_CELLS = 1024
-
-# populations tracked as sweep/evolution outputs
-N_POPULATION_COLUMNS = 4
 
 _CONSTRAINT_RE = re.compile(
     r"^\s*(?P<target>[a-z_][a-z0-9_]*)\s*=\s*"
@@ -207,11 +215,7 @@ class SweepSpec:
         return (self.axis1.count, self.axis2.count if self.axis2 is not None else 1)
 
     def column_names(self) -> tuple[str, ...]:
-        if self.quantity == "both_g2":
-            return ("g2_numeric", "g2_analytic")
-        if self.quantity == "populations":
-            return tuple(f"p{k}" for k in range(N_POPULATION_COLUMNS))
-        return (self.quantity,)
+        return QUANTITY_COLUMNS[self.quantity]
 
     def params_at(self, i: int, j: int = 0) -> SystemParams:
         """Parameters at grid index (i, j) with constraints applied."""
@@ -245,8 +249,8 @@ def correlation(name: str, value: float) -> float:
 
 def population_columns(pops: np.ndarray) -> np.ndarray:
     """p0..p3 of populations on the last axis, one vector or a stack; zero above the truncation."""
-    out = np.zeros((*pops.shape[:-1], N_POPULATION_COLUMNS))
-    out[..., : pops.shape[-1]] = pops[..., :N_POPULATION_COLUMNS]
+    out = np.zeros((*pops.shape[:-1], len(POPULATION_COLUMNS)))
+    out[..., : pops.shape[-1]] = pops[..., : out.shape[-1]]
     return out
 
 
@@ -257,10 +261,10 @@ def evaluate_point(params: SystemParams, quantity: str) -> dict[str, float]:
         space = params.space()
         rho = steady_state(liouvillian_workspace(params))
         if quantity == "populations":
-            for k, value in enumerate(population_columns(fock_populations(rho, space)).tolist()):
+            for name, value in zip(POPULATION_COLUMNS, population_columns(fock_populations(rho, space)).tolist()):
                 if not math.isfinite(value):
-                    raise NumericalError(f"population p{k} is not finite")
-                out[f"p{k}"] = value
+                    raise NumericalError(f"population {name} is not finite")
+                out[name] = value
             return out
         out["g2_numeric"] = g2_zero(rho, space)
     if quantity in ("g2_analytic", "both_g2"):
@@ -301,7 +305,7 @@ def run_sweep(spec: SweepSpec) -> ResultGrid:
         # a both_g2 cell the array pass filled still needs its numeric column
         try:
             values = evaluate_point(spec.params_at(i, j), "g2_numeric" if done[i, j] else spec.quantity)
-        except (ParameterError, NumericalError, np.linalg.LinAlgError) as exc:
+        except (ParameterError, NumericalError) as exc:
             failures.append(((i, j), f"{type(exc).__name__}: {str(exc)[:160]}"))
             for plane in planes.values():
                 plane[i, j] = np.nan
@@ -344,7 +348,7 @@ def run_evolution(job: EvolutionJob) -> TimeSeries:
     liouv = build_liouvillian(job.base)
     times = job.times()
     pops = fock_populations(evolve(liouv, projector(space, 0, 0), times), space)
-    planes = {f"p{k}": column for k, column in enumerate(population_columns(pops).T)}
+    planes = dict(zip(POPULATION_COLUMNS, population_columns(pops).T))
     planes["g2"] = g2_from_populations(pops)
     return TimeSeries(times=times, planes=planes)
 

@@ -1,5 +1,4 @@
 """Grid machinery: axes, constraints, execution, presets."""
-import re
 import tracemalloc
 
 import numpy as np
@@ -293,22 +292,20 @@ def test_closed_form_grid_fails_cells_like_single_points(quantity):
 
 def test_both_g2_failure_tags_are_pinned():
     # a negative rate fails validation, zero rates a singular solve, and a drive
-    # of 1e200 an overflowing residual; each cell keeps the first error raised
+    # of 1e200 an overflowing residual; each cell keeps the first error raised.
+    # A tag states the rule and its bound, never a number that rounding moves,
+    # so these bytes hold at every BLAS thread count
     spec = SweepSpec(base=SystemParams(delta_m=9.8, delta_s=9.8, g_ms=19.6, omega_s=0.06),
                      axis1=SweepAxis("omega_d", [0.0, 0.001, 1e200]),
                      axis2=SweepAxis("kappa", [-0.1, 0.0, 0.15]), quantity="both_g2")
     invalid = "ParameterError: kappa_m must be >= 0, got -0.1"
     singular = "NumericalError: steady state is degenerate or undefined: Singular matrix"
-    failures = run_sweep(spec).failures
-    assert failures[:6] == [
+    assert run_sweep(spec).failures == [
         ((0, 0), invalid), ((0, 1), singular),
         ((1, 0), invalid), ((1, 1), singular),
         ((2, 0), invalid), ((2, 1), singular),
+        ((2, 2), "NumericalError: steady-state residual exceeds 1e-10"),
     ]
-    # the overflowing residual's digits follow the BLAS thread count (8.498e+183 at one thread)
-    [(index, tag)] = failures[6:]
-    assert index == (2, 2)
-    assert re.fullmatch(r"NumericalError: steady-state residual \d\.\d{3}e\+\d{3} exceeds 1e-10", tag), tag
 
 
 def test_evaluate_point_populations(broad_params):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Space
-from .errors import NumericalError, ParameterError
-from .model import SystemParams, build_h_nonhermitian, finite_real
+from .errors import NumericalError, ParameterError, finite_real, nonnegative
+from .model import SystemParams, build_h_nonhermitian
 
 # basis order of the truncated amplitude vector: (two-level, oscillator)
 STATE_ORDER: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
@@ -207,7 +207,5 @@ def analytic_g2_array(fields) -> np.ndarray:
 
 def optimal_detuning(g: float) -> tuple[float, float]:
     """Detunings minimizing g²(0) for the symmetric case: ±g/2."""
-    g = finite_real("g", g)
-    if g < 0:
-        raise ParameterError(f"g must be >= 0, got {g!r}")
+    g = nonnegative("g", finite_real("g", g))
     return (0.5 * g, -0.5 * g)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import STATE_NAMES, amplitude_g2, closed_form_amplitudes, optimal_detuning
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, finite_real, positive
 from .lindblad import (
     fock_populations,
     g2_zero,
@@ -32,7 +32,7 @@ from .lindblad import (
     steady_coordinates,
     unvectorize,
 )
-from .model import SCENARIOS, SWEEPABLE_FIELDS, SystemParams, dressed_spectrum, finite_real
+from .model import SCENARIOS, SWEEPABLE_FIELDS, SystemParams, dressed_spectrum
 from .output import (
     grid_csv,
     grid_json,
@@ -251,9 +251,7 @@ def _output(command: str, opts: dict) -> tuple[str | None, str, float | None]:
     if fmt not in ("csv", "json"):
         raise ParameterError(f"output format must be 'csv' or 'json', got {fmt!r}")
     if gamma is not None:
-        gamma = finite_real("gamma_mhz", gamma)
-        if gamma <= 0:
-            raise ParameterError(f"gamma_mhz must be > 0, got {gamma!r}")
+        gamma = positive("gamma_mhz", finite_real("gamma_mhz", gamma))
     if out is None and command in REPORT_COMMANDS:
         given = [_spelled(dest) for dest in ("format", "gamma_mhz") if dest in opts]
         if given:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, integer
 
 QUBIT_DIM = 2
 
@@ -30,8 +30,7 @@ class Space:
     fock_dim: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.fock_dim, int) or self.fock_dim < 2:
-            raise ParameterError(f"fock_dim must be an integer >= 2, got {self.fock_dim!r}")
+        integer("fock_dim", self.fock_dim, 2)
 
     @property
     def total_dim(self) -> int:

@@ -166,6 +166,7 @@ def _liouvillian_terms(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return pattern, values, np.zeros((dim * dim, dim * dim))
 
 
+@np.errstate(all="ignore")
 def liouvillian_workspace(params: SystemParams) -> np.ndarray:
     """Real generator of the master equation, written into its truncation's one buffer.
 
@@ -174,7 +175,8 @@ def liouvillian_workspace(params: SystemParams) -> np.ndarray:
     stay zero. The returned array is the buffer itself: it is valid until
     the next call for the same truncation, and it must not be written to.
     `mbl` runs one point at a time, so its steady-state paths build here;
-    use `build_liouvillian` for a generator to keep.
+    use `build_liouvillian` for a generator to keep. An entry that overflows
+    is inf, with no warning: the solve or evolution reading it raises NumericalError.
     """
     pattern, values, liouv = _liouvillian_terms(params.space())
     liouv.reshape(-1)[pattern] = np.concatenate(model_coefficients(params)) @ values
@@ -205,6 +207,7 @@ def _check_generator(liouv: np.ndarray) -> int:
     return d
 
 
+@np.errstate(all="ignore")
 def steady_coordinates(liouv: np.ndarray) -> tuple[np.ndarray, float]:
     """Null vector of the Liouvillian in balanced coordinates, at unit trace, and its residual.
 
@@ -215,8 +218,8 @@ def steady_coordinates(liouv: np.ndarray) -> tuple[np.ndarray, float]:
     The result is then scaled to unit trace; the residual is max |dρ/dt|
     over the entries of L v. Requires both decay rates positive for
     uniqueness; a singular or ill-conditioned system, a steady state without
-    ground population, or a residual above STEADY_RESIDUAL_TOL raises
-    NumericalError.
+    ground population, non-finite coordinates, or a residual that is not
+    within STEADY_RESIDUAL_TOL raises NumericalError, and no numpy warning.
     """
     liouv = np.asarray(liouv)
     d = _check_generator(liouv)
@@ -230,7 +233,7 @@ def steady_coordinates(liouv: np.ndarray) -> tuple[np.ndarray, float]:
     if not np.all(np.isfinite(x)):
         raise NumericalError("steady-state solve produced non-finite entries")
     residual = float(np.max(np.abs(unvectorize(liouv @ x, d))))
-    if residual > STEADY_RESIDUAL_TOL:
+    if not residual <= STEADY_RESIDUAL_TOL:  # NaN counts as exceeding
         raise NumericalError(f"steady-state residual exceeds {STEADY_RESIDUAL_TOL:.0e}")
     return x, residual
 
@@ -261,8 +264,8 @@ def evolve(liouv: np.ndarray, rho0: np.ndarray, times: np.ndarray) -> np.ndarray
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ParameterError("times must be a non-empty 1-d array")
-    if times[0] < 0 or np.any(np.diff(times) <= 0):
-        raise ParameterError("times must be strictly increasing and start at >= 0")
+    if not np.all(np.isfinite(times)) or times[0] < 0 or np.any(times[1:] <= times[:-1]):
+        raise ParameterError("times must be finite, strictly increasing and start at >= 0")
     vecs = [vectorize(rho0)]
     # a uniform grid has a handful of distinct float steps; bound the cache for irregular ones
     propagators: dict[float, np.ndarray] = {}

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Space, annihilation, qubit_ops
-from .errors import ParameterError
+from .errors import ParameterError, finite_real, integer, nonnegative
 
 SCENARIOS = ("A", "B")
 
@@ -48,13 +48,6 @@ NONNEGATIVE_FIELDS = ("g_ms", "g_ms_tilde", "omega_s", "omega_d", "kappa_m", "ka
 
 # fields a scenario has no term for; they must be 0 there
 UNUSED_FIELDS = {"A": ("g_ms_tilde",), "B": ("g_ms", "omega_s", "n_th")}
-
-
-def finite_real(name: str, value) -> float:
-    """`value` as a float; ParameterError unless it is a finite int or float (bools excluded)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ParameterError(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -86,11 +79,11 @@ class SystemParams:
     fock_dim: int = 6
 
     def __post_init__(self) -> None:
+        values = vars(self)  # frozen, so coerced fields are set through the instance dict
         for name in SWEEPABLE_FIELDS:
-            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
+            values[name] = finite_real(name, values[name])
         for name in NONNEGATIVE_FIELDS:
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
+            nonnegative(name, values[name])
         if self.scenario not in SCENARIOS:
             raise ParameterError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         for name in UNUSED_FIELDS[self.scenario]:
@@ -206,11 +199,8 @@ def dressed_spectrum(omega_m: float, omega_q: float, g: float, n_max: int) -> li
     both coefficients are 1/√2 in magnitude; at g = 0 they collapse onto the
     bare basis states.
     """
-    omega_m, omega_q, g = finite_real("omega_m", omega_m), finite_real("omega_q", omega_q), finite_real("g", g)
-    if g < 0:
-        raise ParameterError(f"g must be >= 0, got {g}")
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-        raise ParameterError(f"n_max must be an integer >= 1, got {n_max!r}")
+    omega_m, omega_q = finite_real("omega_m", omega_m), finite_real("omega_q", omega_q)
+    g, n_max = nonnegative("g", finite_real("g", g)), integer("n_max", n_max, 1)
     levels: list[DressedLevel] = []
     for n in range(1, n_max + 1):
         mean = ((2 * n - 1) * omega_m + omega_q) / 2.0

@@ -27,7 +27,7 @@ import numpy as np
 
 from .analytic import analytic_g2, analytic_g2_array, require_cascade
 from .core import projector
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, finite_real, integer, positive
 from .lindblad import (
     build_liouvillian,
     evolve,
@@ -37,7 +37,7 @@ from .lindblad import (
     liouvillian_workspace,
     steady_state,
 )
-from .model import SWEEPABLE_FIELDS, SystemParams, finite_real, invalid_mask
+from .model import SWEEPABLE_FIELDS, SystemParams, invalid_mask
 
 AXIS_ALIASES: dict[str, tuple[str, ...]] = {
     "delta": ("delta_m", "delta_s"),
@@ -93,8 +93,7 @@ class SweepAxis:
 
     @classmethod
     def linspace(cls, name: str, lo: float, hi: float, count: int) -> "SweepAxis":
-        if not isinstance(count, int) or isinstance(count, bool) or count < 2:
-            raise ParameterError(f"axis {name!r}: count must be an integer >= 2, got {count!r}")
+        integer(f"axis {name!r}: count", count, 2)
         lo, hi = finite_real(f"axis {name!r}: lo", lo), finite_real(f"axis {name!r}: hi", hi)
         if not lo < hi:
             raise ParameterError(f"axis {name!r}: need lo < hi, got [{lo!r}, {hi!r}]")
@@ -206,8 +205,9 @@ class SweepSpec:
             if axis is not None:
                 for name in _expand_param_name(axis.name):
                     grid[name] = axis.as_array().reshape(shape)
-        for rule in self._rules:
-            rule.apply(grid)
+        with np.errstate(all="ignore"):  # an overflowing rule gives inf, which a cell then fails on
+            for rule in self._rules:
+                rule.apply(grid)
         return {name: np.broadcast_to(value, (n1, n2)) for name, value in grid.items()}
 
     @property
@@ -324,11 +324,8 @@ class EvolutionJob:
     num: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t_end", finite_real("t_end", self.t_end))
-        if self.t_end <= 0:
-            raise ParameterError(f"t_end must be positive, got {self.t_end!r}")
-        if not isinstance(self.num, int) or isinstance(self.num, bool) or self.num < 2:
-            raise ParameterError(f"num must be an integer >= 2, got {self.num!r}")
+        object.__setattr__(self, "t_end", positive("t_end", finite_real("t_end", self.t_end)))
+        integer("num", self.num, 2)
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_end, self.num)

@@ -15,7 +15,8 @@ into a temporary file. Its summary holds:
   log10 may not be;
 - for a report, each value within REPORT_RTOL, except the rounding-level
   values in REPORT_BOUNDS, whose digits follow the BLAS thread count: for
-  those only whether they meet their bound is kept.
+  those only whether they meet their bound is kept;
+- for a level table, each level's fields, its floats within REPORT_RTOL.
 
 `tests/test_golden.py` checks every case against `tests/golden.json`. To
 regenerate that file, from the repository root, with one BLAS thread so
@@ -58,6 +59,11 @@ CASES: dict[str, list[str]] = {
     "steady": ["steady", "--delta", "9.8", *_POINT],
     "analytic": ["analytic", "--delta", "9.8", *_POINT],
     "both_g2_cut": ["sweep", "--axis1", "delta:-20:20:201", "--quantity", "both_g2", *_POINT],
+    "dip_track": ["sweep", "--axis1", "g_ms:1:30:59", "--constraint", "delta = g_ms/2", "--quantity", "g2_analytic",
+                  "--omega-s", "0.06", "--omega-d", "0.01", "--kappa", "0.15"],
+    # p3 reads 0 above the truncation
+    "populations": ["sweep", "--axis1", "delta:-20:20:21", "--quantity", "populations", *_POINT, "--fock-dim", "3"],
+    "spectrum": ["spectrum", "--omega-m", "7", "--omega-q", "7", "--g", "2", "--n-max", "3"],
     "fig5a": ["figure", "fig5a"],
     "fig6b": ["figure", "fig6b"],
     "fig7": ["figure", "fig7"],
@@ -65,6 +71,9 @@ CASES: dict[str, list[str]] = {
     # one cell per failure kind: an invalid rate, a singular solve, an overflowing residual
     "failure_tags": ["sweep", "--axis1", "omega_d=0,0.001,1e200", "--axis2", "kappa=-0.1,0,0.15",
                      "--quantity", "both_g2", "--delta", "9.8", "--g-ms", "19.6", "--omega-s", "0.06"],
+    # a drive whose steady-state solve overflows
+    "overflow_tag": ["sweep", "--axis1", "omega_d=0.01,1e300", "--quantity", "both_g2", "--g-ms", "2",
+                     "--omega-s", "0.06", "--fock-dim", "3"],
 }
 
 
@@ -101,6 +110,8 @@ def summarize(argv: list[str]) -> dict:
     elif "values" in doc:
         summary["report"] = {key: REPORT_BOUNDS[key](value) if key in REPORT_BOUNDS else value
                              for key, value in doc["values"].items()}
+    elif "levels" in doc:
+        summary["levels"] = doc["levels"]
     return summary
 
 

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,23 @@ def test_evolve_refuses_a_propagator_that_lost_the_trace(capsys, tmp_path):
     code, out, err = run(capsys, "evolve", *BRIGHT, "--t-end", "1e300", "--num", "2", "--out", str(target))
     assert (code, out) == (2, "") and not target.exists()
     assert err.startswith("numerical error: propagation lost the trace") and "t = 1e+300" in err
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["steady", "--omega-d", "1e300", "--g-ms", "2", "--omega-s", "0.06", "--fock-dim", "3"], 2,
+     "numerical error: steady-state solve produced non-finite entries\n"),
+    (["sweep", "--axis1", "omega_d=0.01,1e300", "--quantity", "both_g2", "--g-ms", "2", "--omega-s", "0.06",
+      "--fock-dim", "3"], 0, ""),
+    (["sweep", "--axis1", "g_ms=1,2", "--constraint", "delta = g_ms*1e308", "--quantity", "g2_analytic",
+      "--omega-d", "0.01"], 0, ""),
+], ids=["steady", "sweep-solve", "sweep-rule"])
+def test_overflow_prints_no_numpy_warning(capsys, argv, code, err):
+    # stderr carries the command's own message and nothing numpy warned about
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got_code, _, got_err = run(capsys, *argv)
+    assert (got_code, got_err) == (code, err)
+    assert [str(w.message) for w in caught] == []
 
 
 # ------------------------------------------------------------------- sweep

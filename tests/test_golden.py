@@ -17,7 +17,7 @@ def test_reference_holds_every_case():
 def test_output_matches_golden(name):
     got, want = summarize(CASES[name]), GOLDEN[name]
     assert set(got) == set(want)
-    for key in set(want) - {"columns", "report"}:
+    for key in set(want) - {"columns", "report", "levels"}:
         assert got[key] == want[key], key
     for column, sums in want.get("columns", {}).items():
         assert got["columns"][column]["nan"] == sums["nan"], column
@@ -33,3 +33,7 @@ def test_output_matches_golden(name):
             assert got["report"][key] is value, key
         else:
             assert got["report"][key] == pytest.approx(value, rel=REPORT_RTOL, abs=0), key
+    levels = want.get("levels", [])
+    assert len(got.get("levels", [])) == len(levels)
+    for got_level, level in zip(got.get("levels", []), levels):
+        assert got_level == pytest.approx(level, rel=REPORT_RTOL, abs=0), level

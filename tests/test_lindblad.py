@@ -341,6 +341,9 @@ def test_evolve_validates_times(broad_params):
         evolve(liouv, rho0, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ParameterError):
         evolve(liouv, rho0, np.array([-1.0, 1.0]))
+    for times in ([0.0, np.nan], [0.0, np.inf], [np.nan, 1.0], [0.0, 1e308, -1e308]):
+        with pytest.raises(ParameterError, match="finite"):
+            evolve(liouv, rho0, np.array(times))
     with pytest.raises(ValueError):
         evolve(liouv, np.eye(3, dtype=complex), np.array([0.0, 1.0]))
 

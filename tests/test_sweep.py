@@ -1,5 +1,6 @@
 """Grid machinery: axes, constraints, execution, presets."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -306,6 +307,20 @@ def test_both_g2_failure_tags_are_pinned():
         ((2, 0), invalid), ((2, 1), singular),
         ((2, 2), "NumericalError: steady-state residual exceeds 1e-10"),
     ]
+
+
+def test_overflow_fails_its_cell_without_a_warning():
+    # numpy warnings raised as errors must not escape a cell: an overflowing
+    # solve and an overflowing rule each fail only their own cell
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve = run_sweep(SweepSpec(base=SystemParams(g_ms=2.0, omega_s=0.06, fock_dim=3),
+                                    axis1=SweepAxis("omega_d", [0.01, 1e300]), quantity="g2_numeric"))
+        rule = run_sweep(SweepSpec(base=SystemParams(g_ms=2.0, omega_d=0.01), axis1=SweepAxis("g_ms", [1.0, 2.0]),
+                                   quantity="g2_analytic", constraints=("delta = g_ms*1e308",)))
+    assert solve.failures == [((1, 0), "NumericalError: steady-state solve produced non-finite entries")]
+    assert rule.failures == [((0, 0), "NumericalError: g2 = nan is not finite: the amplitudes overflow"),
+                             ((1, 0), "ParameterError: delta_m must be a finite real number, got inf")]
 
 
 def test_evaluate_point_populations(broad_params):

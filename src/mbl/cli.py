@@ -2,11 +2,14 @@
 
 Subcommands: steady, evolve, sweep, figure, spectrum, analytic. Each takes
 exactly the options it reads, declared once in `build_parser`; flags are
-taken only as spelled in full. A JSON config file (--config) can carry
-everything a run needs: each of its keys stands for one flag, a key counts
-only for a command that has that flag, and command-line flags override
-config values. An output option that could not act is refused. Exit codes:
-0 success, 1 bad input or config, 2 numerical failure.
+taken only as spelled in full. A command line that starts with a command
+word is read once, by that command's own parser; the top-level parser
+reads only the rest (no arguments, -h, --version, an unknown command),
+with the same messages and exit codes. A JSON config file (--config) can
+carry everything a run needs: each of its keys stands for one flag, a key
+counts only for a command that has that flag, and command-line flags
+override config values. An output option that could not act is refused.
+Exit codes: 0 success, 1 bad input or config, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -271,8 +274,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _report(pairs: dict[str, float], out: str | None, fmt: str, gamma: float | None) -> None:
     """Print `key = value` lines, and write the same values to `out` if given; zeros lose their sign."""
     pairs = {key: 0.0 if value == 0.0 else value for key, value in pairs.items()}
-    for key, value in pairs.items():
-        print(f"{key} = {value:.12g}")
+    sys.stdout.write("".join(f"{key} = {value:.12g}\n" for key, value in pairs.items()))
     if out is not None:
         _emit(mapping_csv(pairs) if fmt == "csv" else mapping_json(pairs, gamma), out)
 
@@ -383,8 +385,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         parser, commands = _parser()
-        flags = vars(parser.parse_args(argv))
-        command = flags["command"]
+        argv = sys.argv[1:] if argv is None else argv
+        if argv and argv[0] in commands:
+            # the command word picks its parser, which reads the rest once
+            command = argv[0]
+            flags = {"command": command, **vars(commands[command].parse_args(argv[1:]))}
+        else:
+            flags = vars(parser.parse_args(argv))
+            command = flags["command"]
         config = load_config(flags["config"]) if "config" in flags else {}
         job = config.pop("job", command)
         if job != command:

@@ -89,7 +89,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expm expects a square matrix, got shape {a.shape}")
     squarings = max(0, int(np.frexp(np.linalg.norm(a, 1))[1]))
-    a = a / 2.0**squarings
+    # unlike 2.0**s, 0.5**s never overflows: it is exact down to 2**-1074, then 0
+    a = a * 0.5**squarings
     eye = np.eye(a.shape[0], dtype=np.result_type(a, float))
     out = eye
     for k in range(18, 0, -1):

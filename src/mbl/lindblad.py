@@ -248,13 +248,16 @@ def steady_state(liouv: np.ndarray) -> np.ndarray:
     return unvectorize(x, math.isqrt(x.size))
 
 
+@np.errstate(all="ignore")
 def evolve(liouv: np.ndarray, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Propagate the master equation; returns snapshots stacked on axis 0.
 
     `rho0` must be Hermitian, and `times` increasing from the time where `rho0` holds.
     Each step applies the exact propagator expm(L·dt), computed once per
-    distinct step length. A snapshot whose trace drifts from tr ρ₀ by more
-    than EVOLVE_TRACE_TOL · max(1, |tr ρ₀|) raises NumericalError.
+    distinct step length. NumericalError names the first snapshot whose
+    trace, read from the diagonal coordinates, drifts from tr ρ₀ by more
+    than EVOLVE_TRACE_TOL · max(1, |tr ρ₀|), or that holds a non-finite
+    coordinate; a step that overflows raises it without a numpy warning.
     """
     liouv = np.asarray(liouv)
     d = _check_generator(liouv)
@@ -276,12 +279,15 @@ def evolve(liouv: np.ndarray, rho0: np.ndarray, times: np.ndarray) -> np.ndarray
             propagators[step] = expm(liouv * step)
         vecs.append(propagators[step] @ vecs[-1])
     vecs = np.stack(vecs)
-    traces = vecs @ _layout(d).trace
+    # the diagonal coordinates sit every d + 1 entries
+    traces = vecs[:, :: d + 1] @ _layout(d).trace[:: d + 1]
     drift = np.abs(traces - traces[0])
-    lost = np.flatnonzero(~(drift <= EVOLVE_TRACE_TOL * max(1.0, abs(traces[0]))))  # NaN counts as lost
-    if lost.size:
-        k = lost[0]
-        raise NumericalError(f"propagation lost the trace: drift {drift[k]:.3e} at t = {times[k]:.6g}")
+    lost = ~(drift <= EVOLVE_TRACE_TOL * max(1.0, abs(traces[0])))  # NaN counts as lost
+    bad = np.flatnonzero(lost | ~np.isfinite(vecs).all(axis=1))
+    if bad.size:
+        k = bad[0]
+        problem = f"lost the trace: drift {drift[k]:.3e}" if lost[k] else "produced a non-finite entry"
+        raise NumericalError(f"propagation {problem} at t = {times[k]:.6g}")
     return unvectorize(vecs, d)
 
 

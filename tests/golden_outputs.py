@@ -65,6 +65,8 @@ CASES: dict[str, list[str]] = {
     "populations": ["sweep", "--axis1", "delta:-20:20:21", "--quantity", "populations", *_POINT, "--fock-dim", "3"],
     "spectrum": ["spectrum", "--omega-m", "7", "--omega-q", "7", "--g", "2", "--n-max", "3"],
     "fig5a": ["figure", "fig5a"],
+    "fig5b": ["figure", "fig5b"],
+    "fig6a": ["figure", "fig6a"],
     "fig6b": ["figure", "fig6b"],
     "fig7": ["figure", "fig7"],
     "fig9b": ["figure", "fig9b"],

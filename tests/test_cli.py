@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mbl
-from mbl.cli import build_parser, main
+from mbl.cli import _COMMANDS, build_parser, load_config, main
 from mbl.errors import ParameterError
 from mbl.lindblad import steady_coordinates
 
@@ -272,7 +272,9 @@ def test_evolve_refuses_a_propagator_that_lost_the_trace(capsys, tmp_path):
       "--fock-dim", "3"], 0, ""),
     (["sweep", "--axis1", "g_ms=1,2", "--constraint", "delta = g_ms*1e308", "--quantity", "g2_analytic",
       "--omega-d", "0.01"], 0, ""),
-], ids=["steady", "sweep-solve", "sweep-rule"])
+    (["evolve", "--t-end", "1e308", "--num", "2", "--omega-d", "0.01", "--g-ms", "2", "--omega-s", "0.06",
+      "--fock-dim", "3"], 2, "numerical error: propagation lost the trace: drift nan at t = 1e+308\n"),
+], ids=["steady", "sweep-solve", "sweep-rule", "evolve"])
 def test_overflow_prints_no_numpy_warning(capsys, argv, code, err):
     # stderr carries the command's own message and nothing numpy warned about
     with warnings.catch_warnings(record=True) as caught:
@@ -753,16 +755,72 @@ def test_version_flag(capsys):
     assert "0.1.0" in capsys.readouterr().out
 
 
-def test_no_subcommand_fails(capsys):
-    code = main([])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+# main hands a command's arguments to that command's parser alone; each case
+# spells flags both as `--flag value` and `--flag=value`, with a negative exponent
+DISPATCH = {
+    "steady": ["--delta", "-3e-05", "--g-ms=19.6", "--fock-dim", "3", "--out", "steady.csv"],
+    "evolve": ["--t-end=5", "--num", "3", "--omega-d", "-1E+2", "--format=json"],
+    "sweep": ["--axis1", "g_ms:1:30:5", "--constraint", "delta = g_ms/2", "--constraint=omega_d = 0.01",
+              "--quantity=g2_analytic"],
+    "figure": ["fig7", "--format=json", "--gamma-mhz", "3"],
+    "spectrum": ["--omega-m", "7", "--omega-q=-.5", "--g", "2", "--n-max=3"],
+    "analytic": [*BRIGHT, "--kappa=-3e-05"],
+}
 
 
-def test_unknown_flag_fails(capsys):
-    code = main(["steady", "--frobnicate", "3"])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+@pytest.fixture
+def reached(monkeypatch):
+    """The options each command receives from `main`; every command is stubbed to exit 0."""
+    seen = []
+    for command in _COMMANDS:
+        monkeypatch.setitem(_COMMANDS, command, lambda opts, *output: seen.append(opts) or 0)
+    return seen
+
+
+@pytest.mark.parametrize("command", DISPATCH)
+def test_main_reaches_what_the_parser_reaches(reached, tmp_path, command):
+    parser = build_parser()[0]
+    argv = [command, *DISPATCH[command]]
+    cfg = _write_config(tmp_path, {"job": command, "output": {"path": "from-config.csv"}})
+    for each in (argv, [*argv, "--config", cfg], [command, "--config", cfg]):
+        assert main(each) == 0
+        flags = vars(parser.parse_args(each))
+        config = load_config(cfg) if "--config" in each else {}
+        config.pop("job", None)
+        # the same options, in the same order
+        assert list(reached.pop().items()) == list({**config, **flags}.items())
+        assert flags["command"] == command
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["steady", "--frobnicate", "3"], "unrecognized arguments: --frobnicate 3"),
+    (["analytic", *BRIGHT, "--kappa"], "argument --kappa: expected one argument"),
+    ([], "the following arguments are required: command"),
+    (["frobnicate", "--delta", "1"], "argument command: invalid choice: 'frobnicate'"),
+], ids=["unknown-flag", "missing-value", "no-command", "unknown-command"])
+def test_usage_errors_are_the_parsers(capsys, argv, message):
+    with pytest.raises(ParameterError) as info:
+        build_parser()[0].parse_args(argv)
+    assert run(capsys, *argv) == (1, "", f"error: {info.value}\n")
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("command", DISPATCH)
+def test_command_help_is_the_parsers(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        build_parser()[0].parse_args([command, "--help"])
+    expected = capsys.readouterr()
+    assert info.value.code == 0 and expected.out.startswith(f"usage: mbl {command} ")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0 and capsys.readouterr() == expected
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    for argv in (["analytic", *BRIGHT], ["steady", "--frobnicate", "3"], []):
+        monkeypatch.setattr(sys, "argv", ["mbl", *argv])
+        from_sys = main(None), *capsys.readouterr()
+        assert from_sys == run(capsys, *argv)
 
 
 def test_negative_number_pattern_is_widened():

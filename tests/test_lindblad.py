@@ -1,4 +1,6 @@
 """Open-system route: superoperators, steady states, dynamics, observables."""
+import re
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,29 @@ def test_evolve_refuses_lost_trace():
     assert evolve(liouv, rho0, np.array([0.0, 1e4])).shape[0] == 2
     with pytest.raises(NumericalError, match=r"lost the trace: drift .* at t = 1e\+12$"):
         evolve(liouv, rho0, np.array([0.0, 1e4, 1e12, 1e20]))
+
+
+@pytest.mark.parametrize("t_end, drift", [(1e308, "nan"), (2e307, "1.000e+00")])
+def test_evolve_overflow_is_a_numerical_error(t_end, drift):
+    # L·t overflows to inf at 1e308; at 2e307 its norm is finite but at least 2**1023, so
+    # 2**s for the scaling would overflow; pytest turns any numpy warning into an error
+    p = SystemParams(omega_d=0.01, g_ms=2.0, omega_s=0.06, fock_dim=3)
+    liouv, rho0 = build_liouvillian(p), projector(p.space(), 0, 0)
+    message = f"propagation lost the trace: drift {drift} at t = {t_end:.6g}"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        evolve(liouv, rho0, np.array([0.0, t_end]))
+
+
+def test_evolve_refuses_a_non_finite_coherence():
+    # a generator that grows only the (0, 1) coherence: e^700 is finite after one step,
+    # its square is not, and the trace never moves
+    rho0 = np.diag([1.0, 0.0, 0.0, 0.0])
+    rho0[0, 1] = rho0[1, 0] = 0.1
+    liouv = np.zeros((16, 16))
+    liouv[1, 1] = 700.0
+    assert np.isfinite(evolve(liouv, rho0, np.array([0.0, 1.0]))).all()
+    with pytest.raises(NumericalError, match=r"^propagation produced a non-finite entry at t = 2$"):
+        evolve(liouv, rho0, np.array([0.0, 1.0, 2.0, 3.0]))
 
 
 def test_evolve_single_time_returns_copy():

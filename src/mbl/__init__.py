@@ -11,7 +11,6 @@ set of figure presets.
 __version__ = "0.1.0"
 
 from .analytic import (
-    AmplitudeSet,
     amplitude_g2,
     analytic_g2,
     closed_form_amplitudes,
@@ -47,7 +46,6 @@ from .sweep import (
 
 __all__ = [
     "__version__",
-    "AmplitudeSet",
     "DressedLevel",
     "EvolutionJob",
     "FIGURE_NAMES",

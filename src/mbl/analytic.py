@@ -4,7 +4,8 @@ For weak drives the system stays near the ground product state and the
 dynamics closes on five basis states (lower/upper two-level state, up to two
 oscillator quanta). With the ground amplitude pinned at 1, the remaining
 four amplitudes obey a linear complex system built from the non-Hermitian
-Hamiltonian. Two routes to those amplitudes live here:
+Hamiltonian. Two routes to those amplitudes live here, each returning
+them as a complex array of shape (5,) in `STATE_ORDER`:
 
 * closed-form expressions (scenario A), for single points and parameter
   arrays alike,
@@ -17,7 +18,6 @@ cascade is a zero-temperature model: every route rejects n_th ≠ 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,20 +28,6 @@ from .model import SystemParams, build_h_nonhermitian
 # basis order of the truncated amplitude vector: (two-level, oscillator)
 STATE_ORDER: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
 STATE_NAMES = ("c_g0", "c_e0", "c_g1", "c_e1", "c_g2")
-
-
-@dataclass(frozen=True)
-class AmplitudeSet:
-    """Steady five-state amplitudes; c_g0 is the pinned ground amplitude."""
-
-    c_g0: complex
-    c_e0: complex
-    c_g1: complex
-    c_e1: complex
-    c_g2: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c_g0, self.c_e0, self.c_g1, self.c_e1, self.c_g2], dtype=complex)
 
 
 def require_cascade(params: SystemParams, what: str) -> None:
@@ -144,8 +130,8 @@ def _g2_terms(c_g1, c_g2):
     return 2.0 * _abs2(c_g2), n1 * n1
 
 
-def closed_form_amplitudes(params: SystemParams) -> AmplitudeSet:
-    """Exact steady solution of the five-state system in closed form.
+def closed_form_amplitudes(params: SystemParams) -> np.ndarray:
+    """Exact steady solution of the five-state system in closed form, in `STATE_ORDER` with c_g0 = 1.
 
     Valid for scenario A without a thermal bath. Raises NumericalError where
     the expressions degenerate (possible only when both decay rates vanish).
@@ -156,12 +142,11 @@ def closed_form_amplitudes(params: SystemParams) -> AmplitudeSet:
     singular, fractions = _cascade(vars(params))
     if singular:
         raise NumericalError("closed-form amplitudes are singular at these parameters")
-    c_e0, c_g1, c_e1, c_g2 = (complex(*_div(num, den)) for num, den in fractions)
-    return AmplitudeSet(c_g0=1.0 + 0.0j, c_e0=c_e0, c_g1=c_g1, c_e1=c_e1, c_g2=c_g2)
+    return np.array([1.0, *(complex(*_div(num, den)) for num, den in fractions)], dtype=complex)
 
 
-def solve_steady_linear(params: SystemParams) -> AmplitudeSet:
-    """Steady amplitudes from an LU solve of the projected linear system.
+def solve_steady_linear(params: SystemParams) -> np.ndarray:
+    """Steady amplitudes, in `STATE_ORDER` with c_g0 = 1, from an LU solve of the projected linear system.
 
     Brute-force oracle for `closed_form_amplitudes`: with the ground
     amplitude pinned at 1, the other four satisfy M[1:,1:] c = -M[1:,0].
@@ -171,12 +156,14 @@ def solve_steady_linear(params: SystemParams) -> AmplitudeSet:
         c = np.linalg.solve(m[1:, 1:], -m[1:, 0])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"steady amplitude system is singular: {exc}") from exc
-    return AmplitudeSet(1.0 + 0.0j, *c)
+    return np.concatenate(([1.0 + 0.0j], c))
 
 
-def amplitude_g2(amps: AmplitudeSet) -> float:
-    """g²(0) from steady amplitudes: 2|c_g2|² / |c_g1|⁴; NumericalError where undefined or not finite."""
-    num, den = _g2_terms((amps.c_g1.real, amps.c_g1.imag), (amps.c_g2.real, amps.c_g2.imag))
+def amplitude_g2(amps: np.ndarray) -> float:
+    """g²(0) from amplitudes in `STATE_ORDER`: 2|c_g2|² / |c_g1|⁴; NumericalError where undefined or not finite."""
+    # Python complexes: their float arithmetic overflows to inf without a numpy warning
+    _, _, c_g1, _, c_g2 = amps.tolist()
+    num, den = _g2_terms((c_g1.real, c_g1.imag), (c_g2.real, c_g2.imag))
     if den < _G2_FLOOR:
         raise NumericalError("g2 is undefined: single-quantum amplitude vanishes")
     g2 = float(num / den)

@@ -35,7 +35,7 @@ from .lindblad import (
     steady_coordinates,
     unvectorize,
 )
-from .model import SCENARIOS, SWEEPABLE_FIELDS, SystemParams, dressed_spectrum
+from .model import SCENARIOS, SWEEPABLE_FIELDS, DressedLevel, SystemParams, dressed_spectrum
 from .output import (
     grid_csv,
     grid_json,
@@ -310,7 +310,7 @@ def _cmd_analytic(opts: dict, out: str | None, fmt: str, gamma: float | None) ->
     params = _params(opts)
     amps = closed_form_amplitudes(params)
     report: dict[str, float] = {}
-    for name, value in zip(STATE_NAMES, amps.as_array()):
+    for name, value in zip(STATE_NAMES, amps):
         report[f"{name}_re"] = value.real
         report[f"{name}_im"] = value.imag
     g2 = correlation("g2_analytic", amplitude_g2(amps))
@@ -325,7 +325,7 @@ def _cmd_analytic(opts: dict, out: str | None, fmt: str, gamma: float | None) ->
 
 def _cmd_spectrum(opts: dict, out: str | None, fmt: str, gamma: float | None) -> int:
     levels = dressed_spectrum(opts.get("omega_m"), opts.get("omega_q"), opts.get("g"), opts.get("n_max", 3))
-    print("n branch energy c_g_n c_e_nm1")
+    print(" ".join(f.name for f in fields(DressedLevel)))
     for lv in levels:
         print(f"{lv.n} {lv.branch:+d} {lv.energy:.12g} {lv.c_g_n:.12g} {lv.c_e_nm1:.12g}")
     if out is not None:

@@ -1,7 +1,7 @@
 """CSV and JSON rendering of sweep grids, time series, and level tables.
 
 CSV files are deterministic: one `np.savetxt` call per table writes
-17-significant-digit floats (`%.17g`, the bytes `format_float` gives), LF
+17-significant-digit floats (`%.17g`, the bytes `format(x, ".17g")` gives), LF
 line endings, one row per grid point in axis1-major order. The columns
 `sweep.CORRELATION_COLUMNS` names are emitted as log10 (raw values live in
 ResultGrid); populations and times are raw.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from typing import Iterable
 
@@ -32,12 +32,6 @@ import numpy as np
 from . import __version__
 from .model import DressedLevel
 from .sweep import CORRELATION_COLUMNS, ResultGrid, TimeSeries
-
-
-def format_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return format(float(x), ".17g")
 
 
 def _column_header(name: str) -> str:
@@ -52,7 +46,7 @@ def _transform(name: str, values: np.ndarray) -> np.ndarray:
 
 
 def _csv_text(header: Iterable[str], columns: Iterable) -> str:
-    """`columns` side by side under `header`; `%.17g` writes each float as `format_float` does."""
+    """`columns` side by side under `header`; `%.17g` writes each float as `format(x, ".17g")` does."""
     buf = io.StringIO()
     np.savetxt(buf, np.column_stack(columns), fmt="%.17g", delimiter=",", header=",".join(header), comments="")
     return buf.getvalue()
@@ -76,7 +70,7 @@ def timeseries_csv(series: TimeSeries) -> str:
 
 
 def levels_csv(levels: Iterable[DressedLevel]) -> str:
-    header = ["n", "branch", "energy", "c_g_n", "c_e_nm1"]
+    header = [f.name for f in fields(DressedLevel)]
     levels = list(levels)
     return _csv_text(header, [[getattr(lv, name) for lv in levels] for name in header])
 
@@ -175,7 +169,7 @@ def levels_json(levels: Iterable[DressedLevel], gamma_mhz: float | None = None) 
 def mapping_csv(pairs: dict[str, float]) -> str:
     lines = ["key,value"]
     for key, value in pairs.items():
-        lines.append(f"{key},{format_float(value)}")
+        lines.append(f"{key},{value:.17g}")
     return "\n".join(lines) + "\n"
 
 

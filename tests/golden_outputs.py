@@ -64,11 +64,14 @@ CASES: dict[str, list[str]] = {
     # p3 reads 0 above the truncation
     "populations": ["sweep", "--axis1", "delta:-20:20:21", "--quantity", "populations", *_POINT, "--fock-dim", "3"],
     "spectrum": ["spectrum", "--omega-m", "7", "--omega-q", "7", "--g", "2", "--n-max", "3"],
+    "fig4a": ["figure", "fig4a"],
+    "fig4b": ["figure", "fig4b"],
     "fig5a": ["figure", "fig5a"],
     "fig5b": ["figure", "fig5b"],
     "fig6a": ["figure", "fig6a"],
     "fig6b": ["figure", "fig6b"],
     "fig7": ["figure", "fig7"],
+    "fig9a": ["figure", "fig9a"],
     "fig9b": ["figure", "fig9b"],
     # one cell per failure kind: an invalid rate, a singular solve, an overflowing residual
     "failure_tags": ["sweep", "--axis1", "omega_d=0,0.001,1e200", "--axis2", "kappa=-0.1,0,0.15",

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import mbl
+from mbl.analytic import STATE_NAMES
 from mbl.cli import _COMMANDS, build_parser, load_config, main
 from mbl.errors import ParameterError
 from mbl.lindblad import steady_coordinates
@@ -145,7 +146,7 @@ def test_reports_write_zeros_without_sign(capsys, tmp_path, argv, exit_code):
 
 # ---------------------------------------------------------------- analytic
 
-def test_analytic_landmark_point(capsys):
+def test_analytic_landmark_point(capsys, tmp_path):
     code, out, err = run(capsys, "analytic", *BRIGHT)
     assert code == 0 and err == ""
     vals = mapping(out)
@@ -154,6 +155,25 @@ def test_analytic_landmark_point(capsys):
     assert vals["optimal_delta_minus"] == -9.8
     assert vals["c_g1_re"] == pytest.approx(-0.00102039322, abs=1e-9)
     assert vals["c_g1_im"] == pytest.approx(0.133329428767, abs=1e-9)
+    # both amplitude routes give a complex array in STATE_ORDER, and the report is
+    # that array zipped with STATE_NAMES, bit for bit: at README's point and off the dip
+    target = tmp_path / "analytic.json"
+    for delta in (9.8, 3.0):
+        p = mbl.SystemParams(delta_m=delta, delta_s=delta, g_ms=19.6, omega_s=0.06,
+                             omega_d=0.01, kappa_m=0.15, kappa_s=0.15)
+        for route in (mbl.closed_form_amplitudes, mbl.solve_steady_linear):
+            amps = route(p)
+            assert isinstance(amps, np.ndarray) and amps.dtype == complex and amps.shape == (5,)
+            assert amps[0] == 1.0
+        argv = ["--delta", str(delta), *BRIGHT[2:], "--format", "json", "--out", str(target)]
+        assert run(capsys, "analytic", *argv)[0] == 0
+        values = json.loads(target.read_text())["values"]
+        want = {}
+        for name, c in zip(STATE_NAMES, mbl.closed_form_amplitudes(p)):
+            want[f"{name}_re"], want[f"{name}_im"] = c.real, c.imag
+        # every part but c_g0's +0 imaginary one is non-zero, so == is bit for bit
+        assert list(values)[:10] == list(want)
+        assert {key: values[key] for key in want} == want
 
 
 def test_analytic_fails_where_a_cell_does(capsys):
@@ -213,7 +233,7 @@ def test_spectrum_table(capsys):
                        "--g", "2", "--n-max", "2")
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0].split() == ["n", "branch", "energy", "c_g_n", "c_e_nm1"]
+    assert lines[0] == "n branch energy c_g_n c_e_nm1"
     assert len(lines) == 5
     first = lines[1].split()
     assert first[0] == "1" and first[1] == "-1"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mbl.model import SystemParams, dressed_spectrum
-from mbl.output import (format_float, grid_csv, grid_json, levels_csv,
+from mbl.output import (grid_csv, grid_json, levels_csv,
                         levels_json, mapping_csv, mapping_json,
                         timeseries_csv, timeseries_json, write_text)
 from mbl.sweep import (EvolutionJob, ResultGrid, SweepAxis, SweepSpec,
@@ -30,11 +30,12 @@ def _demo_grid():
 
 
 def test_format_float():
-    assert format_float(float("nan")) == "nan"
-    assert format_float(1.0) == "1"
-    assert format_float(0.1) == "0.10000000000000001"  # 17 significant digits
-    assert float(format_float(np.pi)) == np.pi  # round trip
-    assert format_float(-9.8) == "-9.8000000000000007"
+    """`mapping_csv` writes 17 significant digits: NaN as nan, round trips exact."""
+    floats = {"nan": float("nan"), "one": 1.0, "tenth": 0.1, "neg": -9.8, "pi": np.pi}
+    rows = dict(line.split(",") for line in mapping_csv(floats).splitlines()[1:])
+    assert rows == {"nan": "nan", "one": "1", "tenth": "0.10000000000000001",
+                    "neg": "-9.8000000000000007", "pi": rows["pi"]}
+    assert float(rows["pi"]) == np.pi
 
 
 def test_grid_csv_layout():

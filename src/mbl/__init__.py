@@ -17,7 +17,7 @@ from .analytic import (
     optimal_detuning,
     solve_steady_linear,
 )
-from .core import Space, annihilation, projector, qubit_ops
+from .core import Space
 from .errors import NumericalError, ParameterError
 from .lindblad import (
     build_liouvillian,
@@ -59,7 +59,6 @@ __all__ = [
     "TimeSeries",
     "amplitude_g2",
     "analytic_g2",
-    "annihilation",
     "build_h_nonhermitian",
     "build_liouvillian",
     "closed_form_amplitudes",
@@ -69,8 +68,6 @@ __all__ = [
     "fock_populations",
     "g2_zero",
     "optimal_detuning",
-    "projector",
-    "qubit_ops",
     "run_evolution",
     "run_sweep",
     "solve_steady_linear",

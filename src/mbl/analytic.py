@@ -7,12 +7,13 @@ four amplitudes obey a linear complex system built from the non-Hermitian
 Hamiltonian. Two routes to those amplitudes live here, each returning
 them as a complex array of shape (5,) in `STATE_ORDER`:
 
-* closed-form expressions (scenario A), for single points and parameter
-  arrays alike,
+* closed-form expressions, for single points and parameter arrays alike,
 * a direct LU solve of the projected linear system (the oracle).
 
 g²(0) follows from the two-quantum amplitude: 2|c_g2|² / |c_g1|⁴. The
-cascade is a zero-temperature model: every route rejects n_th ≠ 0.
+cascade is a zero-temperature model: every route rejects n_th ≠ 0. Both
+scenarios run it: scenario B is scenario A at omega_s = 0 with g_ms_tilde
+as the coupling.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ STATE_NAMES = ("c_g0", "c_e0", "c_g1", "c_e1", "c_g2")
 
 
 def require_cascade(params: SystemParams, what: str) -> None:
-    """ParameterError naming `what` unless `params` is in the cascade's domain: scenario A at n_th = 0."""
-    if params.scenario != "A":
-        raise ParameterError(f"{what} is defined for scenario A only (got scenario {params.scenario!r})")
+    """ParameterError naming `what` unless `params` is in the cascade's domain: n_th = 0."""
     if params.n_th != 0.0:
         raise ParameterError(f"{what} has no thermal bath; n_th must be 0, got {params.n_th!r}")
 
@@ -89,7 +88,8 @@ def _cascade(f):
     `f` maps field names to floats or to float64 arrays. Returns `singular`
     and a (numerator, denominator) pair for each of c_e0, c_g1, c_e1, c_g2.
     """
-    g, om_s, om_d = f["g_ms"], f["omega_s"], f["omega_d"]
+    # validation zeroes the coupling a scenario does not use, so the sum is the active one
+    g, om_s, om_d = f["g_ms"] + f["g_ms_tilde"], f["omega_s"], f["omega_d"]
     dm = (f["delta_m"], -0.5 * f["kappa_m"])
     ds = (f["delta_s"], -0.5 * f["kappa_s"])
     gg = g * g
@@ -133,7 +133,7 @@ def _g2_terms(c_g1, c_g2):
 def closed_form_amplitudes(params: SystemParams) -> np.ndarray:
     """Exact steady solution of the five-state system in closed form, in `STATE_ORDER` with c_g0 = 1.
 
-    Valid for scenario A without a thermal bath. Raises NumericalError where
+    Valid in either scenario without a thermal bath. Raises NumericalError where
     the expressions degenerate (possible only when both decay rates vanish).
     Where they overflow (omega_d = 1e200, say) the amplitudes are IEEE inf or
     NaN, returned as they are; `amplitude_g2` and `analytic_g2` raise there.
@@ -173,7 +173,7 @@ def amplitude_g2(amps: np.ndarray) -> float:
 
 
 def analytic_g2(params: SystemParams) -> float:
-    """Perturbative equal-time second-order correlation (scenario A, n_th = 0)."""
+    """Perturbative equal-time second-order correlation (n_th = 0)."""
     return amplitude_g2(closed_form_amplitudes(params))
 
 
@@ -181,8 +181,8 @@ def analytic_g2_array(fields) -> np.ndarray:
     """`analytic_g2` over arrays of parameters, equal to it element by element.
 
     `fields` maps the SystemParams field names to float64 arrays that
-    broadcast against each other. They must be valid scenario-A points with
-    n_th = 0; nothing is validated here. An element is NaN exactly where
+    broadcast against each other. They must be valid points at n_th = 0;
+    nothing is validated here. An element is NaN exactly where
     `analytic_g2` raises NumericalError, else its value.
     """
     with np.errstate(all="ignore"):

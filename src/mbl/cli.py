@@ -316,7 +316,7 @@ def _cmd_analytic(opts: dict, out: str | None, fmt: str, gamma: float | None) ->
     g2 = correlation("g2_analytic", amplitude_g2(amps))
     report["g2_analytic"] = g2
     report["log10_g2_analytic"] = math.log10(g2)
-    plus, minus = optimal_detuning(params.g_ms)
+    plus, minus = optimal_detuning(params.coupling)
     report["optimal_delta_plus"] = plus
     report["optimal_delta_minus"] = minus
     _report(report, out, fmt, gamma)

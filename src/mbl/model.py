@@ -57,7 +57,7 @@ class SystemParams:
     delta_m, delta_s : oscillator / two-level detunings (any real)
     g_ms             : exchange coupling, scenario A
     g_ms_tilde       : exchange coupling, scenario B
-    omega_s          : direct two-level drive amplitude (scenario A only)
+    omega_s          : direct two-level drive amplitude (scenario A)
     omega_d          : probe drive amplitude on the oscillator
     kappa_m, kappa_s : oscillator / two-level decay rates (>= 0; steady
                        states are unique only for > 0)

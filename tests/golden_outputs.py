@@ -58,9 +58,14 @@ _POINT = ["--g-ms", "19.6", "--omega-s", "0.06", "--omega-d", "0.01", "--kappa",
 CASES: dict[str, list[str]] = {
     "steady": ["steady", "--delta", "9.8", *_POINT],
     "analytic": ["analytic", "--delta", "9.8", *_POINT],
+    # layout B's dip point: the closed form of layout A at omega_s = 0 with g = g_ms_tilde
+    "analytic_b": ["analytic", "--scenario", "B", "--g-ms-tilde", "50.1", "--delta", "25.05", "--omega-d", "0.01",
+                   "--kappa", "0.15"],
     "both_g2_cut": ["sweep", "--axis1", "delta:-20:20:201", "--quantity", "both_g2", *_POINT],
     "dip_track": ["sweep", "--axis1", "g_ms:1:30:59", "--constraint", "delta = g_ms/2", "--quantity", "g2_analytic",
                   "--omega-s", "0.06", "--omega-d", "0.01", "--kappa", "0.15"],
+    "dip_track_b": ["sweep", "--axis1", "g_ms_tilde:1:60:59", "--constraint", "delta = g_ms_tilde/2",
+                    "--quantity", "g2_analytic", "--scenario", "B", "--omega-d", "0.01", "--kappa", "0.15"],
     # p3 reads 0 above the truncation
     "populations": ["sweep", "--axis1", "delta:-20:20:21", "--quantity", "populations", *_POINT, "--fock-dim", "3"],
     "spectrum": ["spectrum", "--omega-m", "7", "--omega-q", "7", "--g", "2", "--n-max", "3"],

@@ -4,6 +4,8 @@ Each test prints one summary line through the acceptance_log fixture; the
 supporting grids are computed once per module. The whole module stays well
 under the five-minute desk budget at the default truncation.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,27 @@ def test_probe_power_plateau_and_rise(acceptance_log):
         f"PASS probe-power response: plateau at {anchor:.3f} with spread "
         f"{spread:.3f} over omega_d in [0.001, 0.01] (tolerance 0.3); "
         f"rise {rise:+.2f} from omega_d 0.1 to 0.6 (window [1.3, 2.7])")
+
+
+def test_probe_power_route_agreement(acceptance_log):
+    """Both routes agree on the beam-splitter presets under weak probing; strong probing parts them."""
+    gaps = {}
+    for name in ("fig9a", "fig9b"):
+        grid = run_sweep(dataclasses.replace(figure_preset(name), quantity="both_g2"))
+        assert grid.failures == []
+        gaps[name] = np.abs(np.log10(grid.planes["g2_numeric"]) - np.log10(grid.planes["g2_analytic"]))
+    omega_d = figure_preset("fig9b").axis1.as_array()
+    weak = omega_d <= 0.01
+    assert omega_d[-1] == 0.6
+    worst_a, worst_weak, worst_strong = gaps["fig9a"].max(), gaps["fig9b"][weak].max(), gaps["fig9b"][-1].max()
+    assert worst_a < 0.1
+    assert worst_weak < 0.1
+    # the weak-drive expansion breaks down at a strong probe, as the blockade does
+    assert worst_strong > 1.0
+    acceptance_log(
+        f"PASS probe-power route agreement: max |log10 gap| {worst_a:.3f} (<0.1) over fig9a, "
+        f"{worst_weak:.3f} (<0.1) over the {int(weak.sum())} fig9b rows with omega_d <= 0.01, "
+        f"and {worst_strong:.2f} (>1) in the omega_d = 0.6 row")
 
 
 # ------------------------------------------------------- property suite

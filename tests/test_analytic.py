@@ -168,12 +168,22 @@ def test_no_drive_gives_vacuum():
         assert value == 0.0, name
 
 
-def test_scenario_b_rejected():
-    p = SystemParams(delta_m=25.05, delta_s=50.1, g_ms_tilde=50.1,
-                     omega_d=0.01, scenario="B")
-    for fn in (closed_form_amplitudes, solve_steady_linear, analytic_g2):
-        with pytest.raises(ParameterError):
-            fn(p)
+def test_scenario_b_is_scenario_a_relabelled():
+    # scenario B is scenario A at omega_s = 0 with g_ms = g_ms_tilde: the closed form
+    # gives the relabelled point's amplitudes bit for bit, and the LU oracle agrees
+    # within the budget of test_random_route_agreement
+    rng = np.random.default_rng(21)
+    worst = 0.0
+    for _ in range(100):
+        kw = dict(delta_m=rng.uniform(-40, 40), delta_s=rng.uniform(-40, 40),
+                  omega_d=rng.uniform(0.001, 0.02), kappa_m=rng.uniform(0.1, 1.5),
+                  kappa_s=rng.uniform(0.1, 1.5))
+        g = rng.uniform(1, 60)
+        p = SystemParams(scenario="B", g_ms_tilde=g, **kw)
+        amps = closed_form_amplitudes(p)
+        assert amps.tobytes() == closed_form_amplitudes(SystemParams(g_ms=g, **kw)).tobytes()
+        worst = max(worst, float(np.max(np.abs(amps - solve_steady_linear(p))) / np.max(np.abs(amps))))
+    assert worst < 1e-4
 
 
 def test_thermal_bath_rejected(bright_params):
@@ -190,20 +200,23 @@ def test_array_kernel_matches_single_point():
     rng = np.random.default_rng(20101)
     n = 400
     fields = dict(delta_m=rng.uniform(-20, 20, n), delta_s=rng.uniform(-20, 20, n),
-                  g_ms=rng.uniform(0, 30, n), omega_s=rng.uniform(0, 0.1, n),
+                  g_ms=rng.uniform(0, 30, n), g_ms_tilde=np.zeros(n), omega_s=rng.uniform(0, 0.1, n),
                   omega_d=rng.uniform(0, 0.02, n), kappa_m=rng.uniform(0, 1.5, n),
                   kappa_s=rng.uniform(0, 1.5, n))
     # a dip-tracked stretch, a singular stretch (no loss at delta = g/2), a dark
-    # stretch and an overflowing one
+    # stretch, an overflowing one and a scenario-B one
     fields["delta_m"][:100] = fields["delta_s"][:100] = fields["g_ms"][:100] / 2
     fields["kappa_m"][100:150] = fields["kappa_s"][100:150] = 0.0
     fields["delta_m"][100:150] = fields["delta_s"][100:150] = fields["g_ms"][100:150] / 2
     fields["omega_s"][150:200] = fields["omega_d"][150:200] = 0.0
     fields["omega_d"][200:250] = 10.0 ** rng.uniform(100, 300, 50)
+    fields["g_ms_tilde"][250:300] = rng.uniform(0, 60, 50)
+    fields["g_ms"][250:300] = fields["omega_s"][250:300] = 0.0
     got = analytic_g2_array(fields)
     failed = 0
     for k in range(n):
-        p = SystemParams(**{name: float(values[k]) for name, values in fields.items()})
+        p = SystemParams(**{name: float(values[k]) for name, values in fields.items()},
+                         scenario="B" if 250 <= k < 300 else "A")
         try:
             want = analytic_g2(p)
         except NumericalError:

@@ -186,11 +186,16 @@ def test_analytic_fails_where_a_cell_does(capsys):
     assert err == f"numerical error: {one_cell_failure(params, 'g2_analytic')}\n"
 
 
-def test_analytic_rejects_beam_splitter_layout(capsys):
-    code, out, err = run(capsys, "analytic", "--scenario", "B",
-                         "--g-ms-tilde", "50.1", "--omega-d", "0.01")
-    assert code == 1
-    assert err.startswith("error:")
+def test_analytic_reports_beam_splitter_layout(capsys, tmp_path):
+    # the closed form runs in scenario B, and the optimal detunings are ±g_ms_tilde/2
+    target = tmp_path / "analytic.json"
+    code, _, err = run(capsys, "analytic", *SCENARIO_B, "--format", "json", "--out", str(target))
+    assert (code, err) == (0, "")
+    values = json.loads(target.read_text())["values"]
+    assert (values["optimal_delta_plus"], values["optimal_delta_minus"]) == (25.05, -25.05)
+    params = mbl.SystemParams(scenario="B", g_ms_tilde=50.1, delta_m=25.05, delta_s=25.05,
+                              omega_d=0.01, kappa_m=0.15, kappa_s=0.15)
+    assert values["g2_analytic"] == mbl.analytic_g2(params) == one_cell(params, "g2_analytic").values[0, 0]
 
 
 def test_analytic_rejects_thermal_bath(capsys):

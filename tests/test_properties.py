@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouvillian_reference import in_coordinates, reference_build, trace_drift
+from mbl.analytic import analytic_g2
+from mbl.errors import NumericalError
 from mbl.lindblad import build_liouvillian, steady_state, unvectorize, vectorize
 from mbl.model import SystemParams
 
@@ -68,3 +70,19 @@ def test_steady_state_is_a_density_matrix_property(p):
     rho = steady_state(build_liouvillian(p))
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(rho)[0] >= -1e-10
+
+
+def _analytic_outcome(p):
+    """The bits of `analytic_g2` at `p`, or the message of the NumericalError it raises."""
+    try:
+        return analytic_g2(p).hex()
+    except NumericalError as exc:
+        return str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(system_params().filter(lambda p: p.scenario == "B"))
+def test_scenario_b_closed_form_is_scenario_a_relabelled_property(p):
+    # scenario B is scenario A at omega_s = 0 with g_ms = g_ms_tilde, so the closed form gives the same bits
+    relabelled = p.replace(scenario="A", g_ms=p.g_ms_tilde, g_ms_tilde=0.0)
+    assert _analytic_outcome(p) == _analytic_outcome(relabelled)

@@ -93,11 +93,15 @@ def test_spec_validation():
     with pytest.raises(ParameterError):
         SweepSpec(base=base, axis1=SweepAxis.linspace("delta", 0, 1, 3),
                   axis2=SweepAxis.linspace("delta_m", 0, 1, 3))
-    # closed form exists only for the directly driven layout
+    # the closed form serves the beam-splitter layout too, and each cell is its single point
     base_b = SystemParams(g_ms_tilde=50.1, omega_d=0.01, scenario="B")
     for quantity in ("g2_analytic", "both_g2"):
-        with pytest.raises(ParameterError, match=f"quantity '{quantity}' is defined for scenario A only"):
-            SweepSpec(base=base_b, axis1=ax, quantity=quantity)
+        spec = SweepSpec(base=base_b, axis1=ax, quantity=quantity)
+        grid = run_sweep(spec)
+        assert grid.failures == []
+        for i in range(ax.count):
+            point = evaluate_point(spec.params_at(i), quantity)
+            assert {name: grid.planes[name][i, 0] for name in point} == point
 
 
 @pytest.mark.parametrize("base, axis2, rules", [

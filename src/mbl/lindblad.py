@@ -20,12 +20,22 @@ that fills it: `liouvillian_workspace` writes a point's generator into it
 and returns the buffer itself, so a numeric point allocates no fresh
 D² × D² matrix. The buffer is not reentrant: it holds the last point built
 for its truncation. `build_liouvillian` returns a copy of it.
+
+Every steady-state solve runs at one BLAS thread, because OpenBLAS threads
+an LU from m·n >= 10,000 and at fock_dim 6 (143 × 143) the thread hand-off
+costs more than it saves: 158 µs at two threads against 111 µs at one on a
+2-core x86-64 host, and one thread gives the same bytes at any
+OPENBLAS_NUM_THREADS; where numpy's BLAS is not OpenBLAS (MKL, Accelerate,
+a system BLAS), the solve runs at the library's own setting.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+from collections.abc import Callable
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -196,6 +206,27 @@ def build_liouvillian(params: SystemParams) -> np.ndarray:
     return liouvillian_workspace(params).copy()
 
 
+@functools.cache
+def _blas_threads() -> Callable[[int], int]:
+    """Setter of the BLAS thread count that returns the previous count.
+
+    It is `openblas_set_num_threads_local` of the OpenBLAS numpy loaded, which
+    numpy's wheels carry in `numpy.libs/` (Linux, Windows) or `numpy/.dylibs/`
+    (macOS). It is looked up on the first solve, not at import, so importing
+    `mbl` opens no file. Without that library or symbol the setter changes
+    nothing and returns its argument.
+    """
+    package = Path(np.__file__).parent
+    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]):
+        try:
+            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return lambda count: count
+
+
 def _check_generator(liouv: np.ndarray) -> int:
     """Density-matrix dimension D of a real D² × D² generator; ValueError for anything else."""
     d2 = liouv.shape[0] if liouv.ndim == 2 else 0
@@ -220,21 +251,31 @@ def steady_coordinates(liouv: np.ndarray) -> tuple[np.ndarray, float]:
     uniqueness; a singular or ill-conditioned system, a steady state without
     ground population, non-finite coordinates, or a residual that is not
     within STEADY_RESIDUAL_TOL raises NumericalError, and no numpy warning.
+    The solve, normalisation and residual run at one OpenBLAS thread, which
+    at fock_dim 6 is faster than its threaded LU and gives the same bytes at
+    any thread count; the caller's count is restored on return and on every
+    raise. The count is process-wide, so solves run from several Python
+    threads at once can leave it at 1.
     """
     liouv = np.asarray(liouv)
     d = _check_generator(liouv)
     x = np.empty(d * d)
     x[0] = 1.0
+    set_threads = _blas_threads()
+    previous = set_threads(1)
     try:
-        x[1:] = np.linalg.solve(liouv[1:, 1:], -liouv[1:, 0])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"steady state is degenerate or undefined: {exc}") from exc
-    x /= _layout(d).trace @ x
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("steady-state solve produced non-finite entries")
-    residual = float(np.max(np.abs(unvectorize(liouv @ x, d))))
-    if not residual <= STEADY_RESIDUAL_TOL:  # NaN counts as exceeding
-        raise NumericalError(f"steady-state residual exceeds {STEADY_RESIDUAL_TOL:.0e}")
+        try:
+            x[1:] = np.linalg.solve(liouv[1:, 1:], -liouv[1:, 0])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"steady state is degenerate or undefined: {exc}") from exc
+        x /= _layout(d).trace @ x
+        if not np.all(np.isfinite(x)):
+            raise NumericalError("steady-state solve produced non-finite entries")
+        residual = float(np.max(np.abs(unvectorize(liouv @ x, d))))
+        if not residual <= STEADY_RESIDUAL_TOL:  # NaN counts as exceeding
+            raise NumericalError(f"steady-state residual exceeds {STEADY_RESIDUAL_TOL:.0e}")
+    finally:
+        set_threads(previous)
     return x, residual
 
 

@@ -1,5 +1,8 @@
 """Open-system route: superoperators, steady states, dynamics, observables."""
+import ctypes
+import itertools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from mbl.lindblad import (BALANCE, build_liouvillian, evolve, fock_populations,
                           g2_zero, population_moments, steady_coordinates,
                           steady_state, unvectorize, vectorize)
 from mbl.model import SystemParams, build_h_nonhermitian
+from mbl.sweep import figure_preset
 
 
 def test_vectorize_roundtrip():
@@ -183,6 +187,45 @@ def test_steady_state_rejects_singular():
             solve(np.zeros((5, 5)))
         with pytest.raises(ValueError, match="must be real"):
             solve(np.zeros((16, 16), dtype=complex))
+
+
+def _openblas_threads():
+    """(set, get) of the process-wide thread count of numpy's own OpenBLAS."""
+    package = Path(np.__file__).parent
+    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]):
+        lib = ctypes.CDLL(str(path))
+        # a plain OpenBLAS, or scipy-openblas with its prefix and 64-bit-integer suffix
+        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_")):
+            try:
+                setter, getter = (getattr(lib, f"{prefix}openblas_{verb}_num_threads{suffix}") for verb in ("set", "get"))
+            except AttributeError:
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    pytest.skip("numpy's BLAS is not an OpenBLAS")
+
+
+def test_steady_solve_runs_at_one_blas_thread(bright_params):
+    set_threads, get_threads = _openblas_threads()
+    caller = get_threads()
+    liouvs = [build_liouvillian(p) for p in (bright_params, figure_preset("fig3b").params_at(50, 50))]
+    # raises in the LU, and at the residual check after it
+    failing = [np.zeros((16, 16)), build_liouvillian(bright_params.replace(omega_d=1e200))]
+    try:
+        solves = []
+        for count in (1, 2):
+            set_threads(count)
+            solves.append([(x.tobytes(), residual) for x, residual in map(steady_coordinates, liouvs)])
+            assert get_threads() == count
+            for liouv in failing:
+                with pytest.raises(NumericalError):
+                    steady_coordinates(liouv)
+                assert get_threads() == count
+        # the same bytes whatever the caller's count
+        assert solves[0] == solves[1]
+    finally:
+        set_threads(caller)
 
 
 # g2 from a 40-digit mpmath LU solve (mp.dps = 40) of the double-precision complex,

@@ -29,8 +29,8 @@ from .analytic import STATE_NAMES, amplitude_g2, closed_form_amplitudes, optimal
 from .errors import NumericalError, ParameterError, finite_real, positive
 from .lindblad import (
     fock_populations,
-    g2_zero,
     liouvillian_workspace,
+    point_g2,
     population_moments,
     steady_coordinates,
     unvectorize,
@@ -285,17 +285,19 @@ def _cmd_steady(opts: dict, out: str | None, fmt: str, gamma: float | None) -> i
     x, residual = steady_coordinates(liouvillian_workspace(params))
     # ρ is Hermitian by construction, so the report carries no Hermiticity defect
     rho = unvectorize(x, space.total_dim)
+    # one read-out: the populations and moments that give the occupation also give g2
     pops = fock_populations(rho, space)
+    occupation, pairs = population_moments(pops)
     report: dict[str, float] = {
         "trace": float(np.trace(rho).real),
         "min_eigenvalue": float(np.linalg.eigvalsh(rho)[0]),
         "residual": residual,
-        "occupation": float(population_moments(pops)[0]),
+        "occupation": float(occupation),
     }
     report.update(zip(POPULATION_COLUMNS, population_columns(pops).tolist()))
     failed: str | None = None
     try:
-        g2 = correlation("g2_numeric", g2_zero(rho, space))
+        g2 = correlation("g2_numeric", point_g2(occupation, pairs))
         report["g2"] = g2
         report["log10_g2"] = math.log10(g2)
     except NumericalError as exc:

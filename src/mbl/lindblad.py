@@ -26,7 +26,9 @@ an LU from m·n >= 10,000 and at fock_dim 6 (143 × 143) the thread hand-off
 costs more than it saves: 158 µs at two threads against 111 µs at one on a
 2-core x86-64 host, and one thread gives the same bytes at any
 OPENBLAS_NUM_THREADS; where numpy's BLAS is not OpenBLAS (MKL, Accelerate,
-a system BLAS), the solve runs at the library's own setting.
+a system BLAS), the solve runs at the library's own setting. The count is
+process-wide, so solves from several Python threads take turns under one
+lock, each restoring the count it found.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import threading
 from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
@@ -59,9 +62,10 @@ class _Layout(NamedTuple):
 
     upper: np.ndarray  # (D, D) bool: R holds Re ρ_ab here, Im ρ_ab elsewhere
     scale: np.ndarray  # (D, D): ε^(N_a+N_b)
-    real_at: np.ndarray  # (D, D) flat coordinate index of Re ρ_ab
-    imag_at: np.ndarray  # (D, D) flat coordinate index of Im ρ_ab, up to sign
-    imag_scale: np.ndarray  # (D, D): sign(a - b) ε^(N_a+N_b), so Im ρ_ab = imag_scale · v[imag_at]
+    at: np.ndarray  # (D, D, 2): flat coordinate indices of Re ρ_ab and of Im ρ_ab, the latter up to sign
+    fold: np.ndarray  # (D, D, 2): ε^(N_a+N_b) and sign(a - b) ε^(N_a+N_b), so (Re, Im) ρ_ab = fold · v[at]
+    lower_at: np.ndarray  # (D(D+1)/2, 2): `at` on the diagonal and below it, row by row
+    lower_fold: np.ndarray  # (D(D+1)/2, 2): `fold` there
     trace: np.ndarray  # (D²,): tr ρ = trace · v
 
 
@@ -74,17 +78,26 @@ def _layout(dim: int) -> _Layout:
     scale = BALANCE ** np.add.outer(excitations, excitations).astype(float)
     a, b = np.indices((dim, dim))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
+    at = np.stack([lo * dim + hi, hi * dim + lo], axis=-1)
+    fold = np.stack([scale, np.sign(a - b) * scale], axis=-1)
     layout = _Layout(
         upper=a <= b,
         scale=scale,
-        real_at=lo * dim + hi,
-        imag_at=hi * dim + lo,
-        imag_scale=np.sign(a - b) * scale,
+        at=at,
+        fold=fold,
+        lower_at=at[a >= b],
+        lower_fold=fold[a >= b],
         trace=(np.eye(dim) * scale).reshape(-1),
     )
     for array in layout:
         array.setflags(write=False)
     return layout
+
+
+def _fold(vec: np.ndarray, at: np.ndarray, fold: np.ndarray) -> np.ndarray:
+    """The complex entries whose (Re, Im) pairs are fold · vec[..., at], along vec's leading axes."""
+    # a C-ordered product has contiguous pairs to view as complex, whatever vec's strides
+    return np.multiply(vec[..., at], fold, order="C").view(complex)[..., 0]
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -102,14 +115,11 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
 
 def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of `vectorize`: the Hermitian (dim, dim) matrix of each coordinate vector."""
-    vec = np.asarray(vec)
+    vec = np.asarray(vec, dtype=float)
     if vec.ndim < 1 or vec.shape[-1] != dim * dim:
         raise ValueError(f"vector of shape {vec.shape} does not fold into {dim}x{dim}")
     layout = _layout(dim)
-    rho = np.empty((*vec.shape[:-1], dim, dim), dtype=complex)
-    rho.real = vec[..., layout.real_at] * layout.scale
-    rho.imag = vec[..., layout.imag_at] * layout.imag_scale
-    return rho
+    return _fold(vec, layout.at, layout.fold)
 
 
 def _sandwich_entries(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -125,15 +135,15 @@ def _real_entries(sandwiches: list[tuple[np.ndarray, np.ndarray]], dim: int) -> 
 
     Only outputs ρ_ij with i >= j are read: the generator preserves
     Hermiticity, so dρ_ji is the conjugate of dρ_ij. An input is
-    ρ_kl = v[real_at] + i·sign(k - l)·v[imag_at] in unscaled coordinates.
+    ρ_kl = v[at[k, l, 0]] + i·sign(k - l)·v[at[k, l, 1]] in unscaled coordinates.
     Repeated indices are summed by the caller.
     """
     i, j, k, l, v = (np.concatenate(parts) for parts in zip(*(_sandwich_entries(a, b) for a, b in sandwiches)))
     keep = i >= j
     i, j, k, l, v = i[keep], j[keep], k[keep], l[keep], v[keep]
     layout = _layout(dim)
-    re_row, im_row = layout.real_at[i, j], layout.imag_at[i, j]
-    re_col, im_col = layout.real_at[k, l], layout.imag_at[k, l]
+    re_row, im_row = layout.at[i, j].T
+    re_col, im_col = layout.at[k, l].T
     sigma = np.sign(k - l)
     off = i > j  # the diagonal has no imaginary coordinate
     rows = np.concatenate([re_row, re_row, im_row, im_row])
@@ -227,6 +237,11 @@ def _blas_threads() -> Callable[[int], int]:
     return lambda count: count
 
 
+# held around a solve's pin and restore: the count is process-wide, so pins that overlap
+# across Python threads would restore each other's one thread
+_BLAS_LOCK = threading.Lock()
+
+
 def _check_generator(liouv: np.ndarray) -> int:
     """Density-matrix dimension D of a real D² × D² generator; ValueError for anything else."""
     d2 = liouv.shape[0] if liouv.ndim == 2 else 0
@@ -247,35 +262,38 @@ def steady_coordinates(liouv: np.ndarray) -> tuple[np.ndarray, float]:
     implied by the others, since L preserves the trace. The system matrix is
     the block L[1:, 1:] itself, so `liouv` is neither copied nor changed.
     The result is then scaled to unit trace; the residual is max |dρ/dt|
-    over the entries of L v. Requires both decay rates positive for
+    over the entries of L v. It reads only the diagonal and lower entries of
+    dρ/dt, since |dρ_ij| = |dρ_ji| exactly. Requires both decay rates positive for
     uniqueness; a singular or ill-conditioned system, a steady state without
     ground population, non-finite coordinates, or a residual that is not
     within STEADY_RESIDUAL_TOL raises NumericalError, and no numpy warning.
     The solve, normalisation and residual run at one OpenBLAS thread, which
     at fock_dim 6 is faster than its threaded LU and gives the same bytes at
     any thread count; the caller's count is restored on return and on every
-    raise. The count is process-wide, so solves run from several Python
-    threads at once can leave it at 1.
+    raise. Solves from several Python threads run one at a time.
     """
     liouv = np.asarray(liouv)
     d = _check_generator(liouv)
+    layout = _layout(d)
     x = np.empty(d * d)
     x[0] = 1.0
     set_threads = _blas_threads()
-    previous = set_threads(1)
-    try:
+    with _BLAS_LOCK:
+        previous = set_threads(1)
         try:
-            x[1:] = np.linalg.solve(liouv[1:, 1:], -liouv[1:, 0])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"steady state is degenerate or undefined: {exc}") from exc
-        x /= _layout(d).trace @ x
-        if not np.all(np.isfinite(x)):
-            raise NumericalError("steady-state solve produced non-finite entries")
-        residual = float(np.max(np.abs(unvectorize(liouv @ x, d))))
-        if not residual <= STEADY_RESIDUAL_TOL:  # NaN counts as exceeding
-            raise NumericalError(f"steady-state residual exceeds {STEADY_RESIDUAL_TOL:.0e}")
-    finally:
-        set_threads(previous)
+            try:
+                x[1:] = np.linalg.solve(liouv[1:, 1:], -liouv[1:, 0])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"steady state is degenerate or undefined: {exc}") from exc
+            x /= layout.trace @ x
+            if not np.isfinite(x).all():
+                raise NumericalError("steady-state solve produced non-finite entries")
+            # dρ_ij for i >= j, folded as unvectorize folds them
+            residual = float(np.abs(_fold(liouv @ x, layout.lower_at, layout.lower_fold)).max())
+            if not residual <= STEADY_RESIDUAL_TOL:  # NaN counts as exceeding
+                raise NumericalError(f"steady-state residual exceeds {STEADY_RESIDUAL_TOL:.0e}")
+        finally:
+            set_threads(previous)
     return x, residual
 
 
@@ -350,11 +368,31 @@ def population_moments(pops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (pops * n).sum(axis=-1), (pops * (n * (n - 1.0))).sum(axis=-1)
 
 
-def g2_from_populations(pops: np.ndarray) -> np.ndarray:
-    """⟨m†m†mm⟩ / ⟨m†m⟩² from populations on the last axis; NaN where the mode is unoccupied."""
-    occupation, pairs = population_moments(np.asarray(pops, dtype=float))
-    defined = (occupation > 0.0) & (occupation * occupation >= 1e-300)
-    return np.where(defined, pairs / np.where(defined, occupation * occupation, 1.0), np.nan)
+def g2_from_moments(occupation, pairs) -> np.ndarray | float:
+    """⟨m†m†mm⟩ / ⟨m†m⟩² from Σ n Pₙ and Σ n(n-1) Pₙ, floats or arrays alike.
+
+    NaN where the mode is unoccupied: a zero occupation, or one whose square
+    underflows. Nothing is divided by such an occupation, so nothing warns.
+    """
+    square = occupation * occupation
+    defined = (occupation > 0.0) & (square >= 1e-300)
+    if isinstance(defined, np.ndarray):
+        return np.where(defined, pairs / np.where(defined, square, 1.0), np.nan)
+    # one state: the same selection without np.where's 0-d arrays, which cost a `mbl steady` probe 8 µs
+    return pairs / square if defined else math.nan
+
+
+def g2_from_populations(pops: np.ndarray) -> np.ndarray | float:
+    """`g2_from_moments` of populations on the last axis: a float for one state, else an array."""
+    return g2_from_moments(*population_moments(np.asarray(pops, dtype=float)))
+
+
+def point_g2(occupation: float, pairs: float) -> float:
+    """`g2_from_moments` of one state; NumericalError where the mode is unoccupied (undefined ratio)."""
+    g2 = float(g2_from_moments(occupation, pairs))
+    if math.isnan(g2):
+        raise NumericalError("g2 is undefined: oscillator mode is unoccupied")
+    return g2
 
 
 def g2_zero(rho: np.ndarray, space: Space) -> float:
@@ -363,7 +401,4 @@ def g2_zero(rho: np.ndarray, space: Space) -> float:
     Both moments are diagonal in the Fock basis: Σ n(n-1) Pₙ and Σ n Pₙ.
     Raises NumericalError when the mode is unoccupied (undefined ratio).
     """
-    g2 = float(g2_from_populations(fock_populations(rho, space)))
-    if math.isnan(g2):
-        raise NumericalError("g2 is undefined: oscillator mode is unoccupied")
-    return g2
+    return point_g2(*population_moments(fock_populations(rho, space)))

@@ -17,7 +17,7 @@ import mbl
 from mbl.analytic import STATE_NAMES
 from mbl.cli import _COMMANDS, build_parser, load_config, main
 from mbl.errors import ParameterError
-from mbl.lindblad import steady_coordinates
+from mbl.lindblad import population_moments, steady_coordinates
 
 BRIGHT = ["--delta", "9.8", "--g-ms", "19.6", "--omega-s", "0.06",
           "--omega-d", "0.01", "--kappa", "0.15"]
@@ -108,7 +108,10 @@ def test_steady_report_is_one_solve(capsys, tmp_path, argv, params):
     # the report reads the same solve the library routes do, bit for bit
     liouv = mbl.build_liouvillian(params)
     rho, space = mbl.steady_state(liouv), params.space()
+    assert values["trace"] == np.trace(rho).real
+    assert values["min_eigenvalue"] == np.linalg.eigvalsh(rho)[0]
     assert values["residual"] == steady_coordinates(liouv)[1]
+    assert values["occupation"] == population_moments(mbl.fock_populations(rho, space))[0]
     pops = [values[f"p{k}"] for k in range(4)]
     assert pops == [*mbl.fock_populations(rho, space)[:4].tolist(), 0.0, 0.0][:4]
     assert pops == [one_cell(params, "populations").planes[f"p{k}"][0, 0] for k in range(4)]

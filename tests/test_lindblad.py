@@ -2,6 +2,7 @@
 import ctypes
 import itertools
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,35 @@ def test_steady_solve_runs_at_one_blas_thread(bright_params):
                 assert get_threads() == count
         # the same bytes whatever the caller's count
         assert solves[0] == solves[1]
+    finally:
+        set_threads(caller)
+
+
+def test_blas_pin_holds_across_python_threads(bright_params):
+    # the count is process-wide: two threads solving at once must not leave each other's pin behind
+    set_threads, get_threads = _openblas_threads()
+    caller = get_threads()
+    liouv = build_liouvillian(bright_params)
+    want = steady_coordinates(liouv)[0].tobytes()
+    start = threading.Barrier(2, timeout=60)
+
+    def solve(out):
+        start.wait()
+        out.extend(steady_coordinates(liouv)[0].tobytes() for _ in range(300))
+
+    try:
+        set_threads(2)
+        # an unguarded pin leaks in most rounds, not all, so three rounds
+        for _ in range(3):
+            results = [[], []]
+            workers = [threading.Thread(target=solve, args=(out,)) for out in results]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+            assert get_threads() == 2
+            assert results == [[want] * 300] * 2
     finally:
         set_threads(caller)
 

@@ -1,12 +1,14 @@
 """Property tests of the Liouvillian and its steady state over random valid parameters."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouvillian_reference import in_coordinates, reference_build, trace_drift
 from mbl.analytic import analytic_g2
 from mbl.errors import NumericalError
-from mbl.lindblad import build_liouvillian, steady_state, unvectorize, vectorize
+from mbl.lindblad import (build_liouvillian, fock_populations, g2_from_populations, g2_zero, steady_coordinates,
+                          steady_state, unvectorize, vectorize)
 from mbl.model import SystemParams
 
 
@@ -70,6 +72,28 @@ def test_steady_state_is_a_density_matrix_property(p):
     rho = steady_state(build_liouvillian(p))
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(rho)[0] >= -1e-10
+
+
+@PROPERTY_SETTINGS
+@given(system_params())
+def test_steady_residual_reads_the_whole_of_drho_property(p):
+    # the residual reads dρ/dt's diagonal and lower entries only; it equals the max over all of them, bit for bit
+    liouv = build_liouvillian(p)
+    x, residual = steady_coordinates(liouv)
+    assert residual == np.max(np.abs(unvectorize(liouv @ x, p.space().total_dim)))
+
+
+@PROPERTY_SETTINGS
+@given(system_params())
+def test_g2_zero_is_the_population_rule_property(p):
+    # g2_zero gives the bits of g2_from_populations on a stack of one state, and raises exactly where that is NaN
+    rho, space = steady_state(build_liouvillian(p)), p.space()
+    want = float(g2_from_populations(fock_populations(rho[np.newaxis], space))[0])
+    if np.isnan(want):
+        with pytest.raises(NumericalError, match="g2 is undefined"):
+            g2_zero(rho, space)
+    else:
+        assert g2_zero(rho, space).hex() == want.hex()
 
 
 def _analytic_outcome(p):

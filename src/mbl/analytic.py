@@ -193,6 +193,10 @@ def analytic_g2_array(fields) -> np.ndarray:
 
 
 def optimal_detuning(g: float) -> tuple[float, float]:
-    """Detunings minimizing g²(0) for the symmetric case: ±g/2."""
+    """The detunings ±g/2 of the g²(0) dips for the symmetric case.
+
+    ±g/2 is the κ → 0 limit of the closed form's dark root
+    δ* = √(g²/4 − κ²/2), for κ_m = κ_s = κ, at the drive ratio Ω_s/Ω_d = 4δ*/g.
+    """
     g = nonnegative("g", finite_real("g", g))
     return (0.5 * g, -0.5 * g)

@@ -3,9 +3,16 @@
 Subcommands: steady, evolve, sweep, figure, spectrum, analytic. Each takes
 exactly the options it reads, declared once in `build_parser`; flags are
 taken only as spelled in full. A command line that starts with a command
-word is read once, by that command's own parser; the top-level parser
-reads only the rest (no arguments, -h, --version, an unknown command),
-with the same messages and exit codes. A JSON config file (--config) can
+word is read once. If all of it is `--flag value` pairs of that command's
+one-value flags, with no value that argparse would take for a flag, the
+command's flag table reads it: each value is converted by its flag's own
+type, in argv order, giving what the command's parser would. The table is
+built from that parser, so each flag is still declared once. Any other
+form (-h, --flag=value, --, a positional, an unknown flag, a missing or
+unconvertible value) goes whole to the command's own parser, so help,
+usage messages and exit codes stay argparse's. The top-level parser reads
+only the rest (no arguments, -h, --version, an unknown command), with the
+same messages and exit codes. A JSON config file (--config) can
 carry everything a run needs: each of its keys stands for one flag, a key
 counts only for a command that has that flag, and command-line flags
 override config values. An output option that could not act is refused.
@@ -206,6 +213,42 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 _parser = functools.cache(build_parser)
 
 
+@functools.cache
+def _flag_tables() -> dict[str, dict[str, tuple[str, object, bool]]]:
+    """Each command's one-value options, from its own parser: flag -> (dest, type, append)."""
+    return {
+        command: {
+            flag: (action.dest, action.type, type(action) is argparse._AppendAction)
+            for action in sub._actions
+            if type(action) in (argparse._StoreAction, argparse._AppendAction) and action.nargs is None
+            for flag in action.option_strings
+        }
+        for command, sub in _parser()[1].items()
+    }
+
+
+def _read_flags(command: str, args: list[str]) -> dict | None:
+    """What the command's parser reads from `--flag value` pairs, or None for any other command line."""
+    if len(args) % 2:
+        return None
+    table, negative = _flag_tables()[command], _parser()[1][command]._negative_number_matcher
+    opts: dict = {}
+    for flag, value in zip(args[::2], args[1::2]):
+        if flag not in table or (value.startswith("-") and not negative.match(value)):
+            return None
+        dest, kind, append = table[flag]
+        try:
+            value = value if kind is None else kind(value)
+        except (TypeError, ValueError):
+            return None
+        if append:
+            opts.setdefault(dest, []).append(value)
+        else:
+            # a repeated flag keeps its first position, as setattr on argparse's namespace does
+            opts[dest] = value
+    return opts
+
+
 def _params(opts: dict) -> SystemParams:
     """Model parameters; an alias (--delta, --kappa) overrides its split fields."""
     values = {name: opts[name] for name in PARAM_FIELDS if name in opts}
@@ -389,9 +432,12 @@ def main(argv: list[str] | None = None) -> int:
         parser, commands = _parser()
         argv = sys.argv[1:] if argv is None else argv
         if argv and argv[0] in commands:
-            # the command word picks its parser, which reads the rest once
+            # the command word picks its flag table; any form the table does not take goes to its parser
             command = argv[0]
-            flags = {"command": command, **vars(commands[command].parse_args(argv[1:]))}
+            flags = _read_flags(command, argv[1:])
+            if flags is None:
+                flags = vars(commands[command].parse_args(argv[1:]))
+            flags = {"command": command, **flags}
         else:
             flags = vars(parser.parse_args(argv))
             command = flags["command"]

@@ -5,6 +5,7 @@ supporting grids are computed once per module. The whole module stays well
 under the five-minute desk budget at the default truncation.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -357,3 +358,53 @@ def test_route_agreement_curve(dip_cut_grid, acceptance_log):
         f"PASS route agreement curve: max |log10 gap| {gap:.3f} (<0.5) over "
         f"delta in [-20, 20] outside 0.2-wide windows at the dips "
         f"({dip_minus:+.1f}, {dip_plus:+.1f})")
+
+
+def _drives_scaled(params, t):
+    return dataclasses.replace(params, omega_d=params.omega_d * t, omega_s=params.omega_s * t)
+
+
+def _g2_numeric(params):
+    return evaluate_point(params, "g2_numeric")["g2_numeric"]
+
+
+def test_weak_drive_richardson_route_agreement(acceptance_log):
+    """With both drives scaled by t, g2_num = g2_cf (1 + a t^2 + O(t^4)): one Richardson step meets the closed form."""
+    points = {
+        "delta +9.8": BRIGHT,
+        "delta -9.8": dataclasses.replace(BRIGHT, delta_m=-9.8, delta_s=-9.8),
+        "delta 0": dataclasses.replace(BRIGHT, delta_m=0.0, delta_s=0.0),
+        "scenario B's dip": SystemParams(scenario="B", g_ms_tilde=50.1, delta_m=25.05, delta_s=25.05,
+                              omega_d=0.01, kappa_m=0.15, kappa_s=0.15),
+    }
+    t = 1 / 8
+    gaps = {}
+    for name, params in points.items():
+        coarse, fine = (_g2_numeric(_drives_scaled(params, s)) for s in (t, t / 2))
+        gaps[name] = abs((4 * fine - coarse) / 3 / analytic_g2(params) - 1)
+    assert max(gaps.values()) <= 1e-5
+    acceptance_log(
+        "PASS weak-drive route agreement: Richardson (4 g2_num(t/2) - g2_num(t))/3 at t = 1/8 "
+        "within relative " + ", ".join(f"{gap:.1e} at {name}" for name, gap in gaps.items())
+        + " of the closed form (<1e-5)")
+
+
+def test_dark_root_of_the_closed_form(acceptance_log):
+    """At delta* = sqrt(g^2/4 - kappa^2/2) and Omega_s/Omega_d = 4 delta*/g the closed form's two-quantum amplitude vanishes.
+
+    There the master equation's g2 is pure drive order: g2_num / t^2 is constant
+    as both drives are scaled by t. `optimal_detuning`'s +-g/2 is the kappa -> 0
+    limit of delta*.
+    """
+    g, kappa = 19.6, 0.15
+    delta = math.sqrt(g * g / 4 - kappa * kappa / 2)
+    dark = SystemParams(delta_m=delta, delta_s=delta, g_ms=g, omega_d=0.01, omega_s=0.01 * 4 * delta / g,
+                        kappa_m=kappa, kappa_s=kappa)
+    g2_cf = analytic_g2(dark)
+    assert g2_cf < 1e-20
+    ratios = [_g2_numeric(_drives_scaled(dark, t)) / t ** 2 for t in (1, 1 / 2, 1 / 4, 1 / 8)]
+    spread = (max(ratios) - min(ratios)) / min(ratios)
+    assert spread <= 1e-4
+    acceptance_log(
+        f"PASS closed-form dark root: at delta* {delta:.6f}, g2_cf {g2_cf:.1e} (<1e-20); g2_num/t^2 "
+        f"{min(ratios):.6e} to {max(ratios):.6e} over t = 1 ... 1/8, spread {spread:.1e} (<1e-4)")

@@ -3,6 +3,7 @@ import argparse
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -15,7 +16,8 @@ import pytest
 
 import mbl
 from mbl.analytic import STATE_NAMES
-from mbl.cli import _COMMANDS, build_parser, load_config, main
+from mbl import cli
+from mbl.cli import _COMMANDS, _flag_tables, build_parser, load_config, main
 from mbl.errors import ParameterError
 from mbl.lindblad import population_moments, steady_coordinates
 
@@ -818,6 +820,49 @@ def test_main_reaches_what_the_parser_reaches(reached, tmp_path, command):
         # the same options, in the same order
         assert list(reached.pop().items()) == list({**config, **flags}.items())
         assert flags["command"] == command
+
+
+# values a flag may meet: numbers the widened pattern reads as values, strings argparse takes
+# as flags or separators, values a type rejects, and one more flag (None)
+DRAWN_VALUES = ["1", "-3e-05", "-1E+2", "-.5", "", "-", "--", "abc", "-e5", "nan", " 2 ", "1_0", None]
+
+
+def test_flag_table_reads_what_the_parser_reads(reached, capsys, monkeypatch):
+    # every reached option and every usage error is argparse's, whichever reader took the line
+    monkeypatch.setattr(cli, "load_config", lambda path: {})
+    monkeypatch.setattr(cli, "_output", lambda command, opts: (None, "csv", None))
+    parser, commands = build_parser()
+    rng = random.Random(26)
+    for _ in range(6000):
+        command = rng.choice(list(commands))
+        flags = [flag for flag in commands[command]._option_string_actions if flag not in ("-h", "--help")]
+        flags = [*rng.sample(flags, 2), "--frobnicate"]  # few flags, so repeats are common
+        argv = [command]
+        for _ in range(rng.randint(0, 4)):
+            value = rng.choice(DRAWN_VALUES)
+            argv += [rng.choice(flags), rng.choice(flags) if value is None else value]
+        if rng.random() < 0.2:
+            argv.append(rng.choice(flags))
+        try:
+            expected = {"command": command, **vars(parser.parse_args(argv))}
+        except ParameterError as exc:
+            assert run(capsys, *argv) == (1, "", f"error: {exc}\n"), argv
+            assert not reached
+            continue
+        assert main(argv) == 0, argv
+        # by repr, since nan != nan
+        assert repr(list(reached.pop().items())) == repr(list(expected.items())), argv
+
+
+def test_flag_tables_hold_every_option():
+    # a flag the table lacks would send every command line that uses it through argparse
+    for command, sub in build_parser()[1].items():
+        options = {flag: action for flag, action in sub._option_string_actions.items() if flag not in ("-h", "--help")}
+        assert sorted(_flag_tables()[command]) == sorted(options)
+        for flag, (dest, kind, append) in _flag_tables()[command].items():
+            action = options[flag]
+            assert action.nargs is None and type(action) is (argparse._AppendAction if append else argparse._StoreAction)
+            assert (dest, kind) == (action.dest, action.type)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -25,7 +25,6 @@ import argparse
 import functools
 import json
 import math
-import re
 import sys
 from dataclasses import fields
 
@@ -137,13 +136,28 @@ def load_config(path: str) -> dict:
     return _flatten(raw, CONFIG_DESTS, "config")
 
 
+class _NegativeNumber:
+    """argparse's test for a negative number: a `-` token that float() reads, such as -3e-05, -1_0 or -inf."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        if not token.startswith("-"):
+            return False
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that takes no abbreviated flag and reports usage problems as config errors (exit 1)."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
-        # argparse's own negative-number pattern has no exponent on Python 3.10-3.12: -3e-05 would be a flag
-        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+        # argparse's own pattern takes digits only (and no exponent on Python 3.10-3.12), so a
+        # spaced -3e-05, -inf or -1_0 would be a flag, though float() reads it spelled with `=`
+        self._negative_number_matcher = _NegativeNumber
 
     def error(self, message: str):  # noqa: D102
         raise ParameterError(message)

@@ -21,10 +21,23 @@ and returns the buffer itself, so a numeric point allocates no fresh
 D² × D² matrix. The buffer is not reentrant: it holds the last point built
 for its truncation. `build_liouvillian` returns a copy of it.
 
-Every steady-state solve runs at one BLAS thread, because OpenBLAS threads
-an LU from m·n >= 10,000 and at fock_dim 6 (143 × 143) the thread hand-off
-costs more than it saves: 158 µs at two threads against 111 µs at one on a
-2-core x86-64 host, and one thread gives the same bytes at any
+The steady state solves the block L[1:, 1:] as a band matrix. Its
+coordinates are sorted stably by drive order N_a + N_b. In that order the
+exchange coupling, the detunings and the decay terms keep a coordinate's
+order, a drive moves it by one, and a jump by two (down for a loss, up for
+a thermal bath), so the model's generator is banded: 41 subdiagonals and
+51 superdiagonals of 142 at fock_dim 6. LAPACK's dgbsv, from the OpenBLAS
+numpy loaded, factors and solves it in one call through ctypes: about
+95 µs with the band gathered, where numpy's dense LU takes about 160 µs,
+at one thread on a 2-core x86-64 host.
+numpy's dense LU runs only where its LAPACK has no dgbsv (MKL, Accelerate),
+and to redo a band solve that fails a check (see `steady_coordinates`).
+
+Every steady-state solve runs at one BLAS thread. OpenBLAS threads a dense
+LU from m·n >= 10,000, and it threads the dgemm and dtrsm calls of dgbsv's
+blocked factorisation too; at fock_dim 6 (143 × 143) the thread hand-off
+costs more than it saves: the dense LU took 158 µs at two threads against
+111 µs at one on a 2-core x86-64 host. One thread also gives the same bytes at any
 OPENBLAS_NUM_THREADS; where numpy's BLAS is not OpenBLAS (MKL, Accelerate,
 a system BLAS), the solve runs at the library's own setting. The count is
 process-wide, so solves from several Python threads take turns under one
@@ -35,6 +48,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 import threading
 from collections.abc import Callable
@@ -67,6 +81,7 @@ class _Layout(NamedTuple):
     lower_at: np.ndarray  # (D(D+1)/2, 2): `at` on the diagonal and below it, row by row
     lower_fold: np.ndarray  # (D(D+1)/2, 2): `fold` there
     trace: np.ndarray  # (D²,): tr ρ = trace · v
+    order: np.ndarray  # (D²,): N_a + N_b of each coordinate, the exponent of its balancing
 
 
 @functools.lru_cache(maxsize=8)
@@ -75,7 +90,8 @@ def _layout(dim: int) -> _Layout:
         raise ValueError(f"dimension {dim} is not a two-level system times an oscillator")
     fock_dim = dim // QUBIT_DIM
     excitations = np.add.outer(np.arange(QUBIT_DIM), np.arange(fock_dim)).reshape(-1)
-    scale = BALANCE ** np.add.outer(excitations, excitations).astype(float)
+    order = np.add.outer(excitations, excitations)
+    scale = BALANCE ** order.astype(float)
     a, b = np.indices((dim, dim))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     at = np.stack([lo * dim + hi, hi * dim + lo], axis=-1)
@@ -88,6 +104,7 @@ def _layout(dim: int) -> _Layout:
         lower_at=at[a >= b],
         lower_fold=fold[a >= b],
         trace=(np.eye(dim) * scale).reshape(-1),
+        order=order.reshape(-1),
     )
     for array in layout:
         array.setflags(write=False)
@@ -217,29 +234,115 @@ def build_liouvillian(params: SystemParams) -> np.ndarray:
 
 
 @functools.cache
-def _blas_threads() -> Callable[[int], int]:
-    """Setter of the BLAS thread count that returns the previous count.
+def _openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS numpy loaded, or None where numpy's BLAS is another library.
 
-    It is `openblas_set_num_threads_local` of the OpenBLAS numpy loaded, which
-    numpy's wheels carry in `numpy.libs/` (Linux, Windows) or `numpy/.dylibs/`
-    (macOS). It is looked up on the first solve, not at import, so importing
-    `mbl` opens no file. Without that library or symbol the setter changes
-    nothing and returns its argument.
+    numpy's wheels carry it in `numpy.libs/` (Linux, Windows) or
+    `numpy/.dylibs/` (macOS). It is opened on the first solve, not at import,
+    so importing `mbl` opens no file.
     """
     package = Path(np.__file__).parent
     for path in sorted([*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]):
         try:
-            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
-        except (OSError, AttributeError):
+            return ctypes.CDLL(str(path))
+        except OSError:
             continue
-        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-        return setter
-    return lambda count: count
+    return None
 
 
-# held around a solve's pin and restore: the count is process-wide, so pins that overlap
-# across Python threads would restore each other's one thread
+@functools.cache
+def _blas_threads() -> Callable[[int], int]:
+    """Setter of the BLAS thread count that returns the previous count.
+
+    It is `openblas_set_num_threads_local` of `_openblas`. Without that
+    library or symbol the setter changes nothing and returns its argument.
+    """
+    setter = getattr(_openblas(), "openblas_set_num_threads_local", None)
+    if setter is None:
+        return lambda count: count
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+@functools.cache
+def _dgbsv() -> tuple[Callable, type] | None:
+    """LAPACK's band solver `dgbsv` from `_openblas`, with its integer type; None without it.
+
+    A plain OpenBLAS exports `dgbsv_` with 32-bit integers. numpy 2's
+    scipy-openblas prefixes `scipy_` and suffixes `64_`, and the suffix means
+    64-bit integers.
+    """
+    lib = _openblas()
+    for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_")):
+        routine = getattr(lib, f"{prefix}dgbsv_{suffix}", None)
+        if routine is not None:
+            integer = ctypes.c_int64 if suffix else ctypes.c_int32
+            # n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb, info: Fortran passes every argument by reference
+            index, array = ctypes.POINTER(integer), ctypes.c_void_p
+            routine.argtypes = [index, index, index, index, array, index, array, array, index, index]
+            routine.restype = None
+            return routine, integer
+    return None
+
+
+# held around a solve's pin and restore, and around the band work arrays: the count is
+# process-wide, so pins that overlap across Python threads would restore each other's one thread
 _BLAS_LOCK = threading.Lock()
+
+
+class _Band(NamedTuple):
+    """The block L[1:, 1:] in drive order, as LAPACK band storage, with its dgbsv call."""
+
+    order: np.ndarray  # (D² - 1,): coordinates 1 … D² - 1 sorted stably by drive order
+    src: np.ndarray  # flat index into L of each entry of `work`; 0 where dgbsv reads nothing
+    work: np.ndarray  # the band, column-major (2kl + ku + 1) × (D² - 1), then the right-hand side
+    rhs: np.ndarray  # view of the tail of `work`: L[order, 0] on entry, the solution on return
+    solve: Callable[[], int]  # dgbsv on `work`, in place; returns LAPACK's info
+
+
+@functools.lru_cache(maxsize=8)
+def _band(dim: int) -> _Band:
+    """Band storage and work arrays of `steady_coordinates` for density matrices of dimension `dim`.
+
+    The coordinates 1 … D² - 1 are sorted stably by drive order, and the
+    band widths are read off the model's term pattern at this truncation,
+    thermal jumps included: 41 below and 51 above the diagonal at
+    fock_dim 6. About 0.15 MB each for the index map and the work array
+    there. Requires `_dgbsv`.
+    """
+    routine, integer = _dgbsv()
+    d2 = dim * dim
+    order = np.argsort(_layout(dim).order[1:], kind="stable") + 1
+    n = order.size
+    position = np.zeros(d2, dtype=np.intp)
+    position[order] = np.arange(n)
+    fock_dim = dim // QUBIT_DIM
+    # a two-level system alone is no truncation of the model: its whole block is band
+    pattern = _liouvillian_terms(Space(fock_dim))[0] if fock_dim > 1 else np.arange(d2 * d2)
+    rows, cols = np.divmod(pattern, d2)
+    inner = (rows > 0) & (cols > 0)
+    reach = position[cols[inner]] - position[rows[inner]]
+    kl, ku = -int(reach.min()), int(reach.max())
+    # row r of column j holds A[r - kl - ku + j, j]; rows 0 … kl - 1 are dgbsv's fill-in
+    ldab = 2 * kl + ku + 1
+    j = np.arange(n)[:, None]
+    i = np.arange(ldab) - (kl + ku) + j
+    held = (i >= np.maximum(j - ku, 0)) & (i < n)
+    src = np.where(held, order[np.clip(i, 0, n - 1)] * d2 + order[j], 0).reshape(-1)
+    src = np.concatenate([src, order * d2])
+    work = np.empty(src.size)
+    ipiv = np.empty(n, dtype=integer)
+    info = integer()
+    args = (*(ctypes.byref(integer(v)) for v in (n, kl, ku, 1)), work.ctypes.data_as(ctypes.c_void_p),
+            ctypes.byref(integer(ldab)), ipiv.ctypes.data_as(ctypes.c_void_p),
+            work[n * ldab :].ctypes.data_as(ctypes.c_void_p), ctypes.byref(integer(n)), ctypes.byref(info))
+
+    def solve() -> int:
+        routine(*args)
+        return info.value
+
+    src.setflags(write=False)
+    return _Band(order, src, work, work[n * ldab :], solve)
 
 
 def _check_generator(liouv: np.ndarray) -> int:
@@ -253,6 +356,42 @@ def _check_generator(liouv: np.ndarray) -> int:
     return d
 
 
+def _residual(liouv: np.ndarray, x: np.ndarray, layout: _Layout) -> float:
+    """max |dρ_ij| over i >= j, folded as unvectorize folds them; |dρ_ij| = |dρ_ji| exactly."""
+    return float(np.abs(_fold(liouv @ x, layout.lower_at, layout.lower_fold)).max())
+
+
+def _band_solve(band: _Band, liouv: np.ndarray, x: np.ndarray, layout: _Layout) -> float | None:
+    """Residual of the band solve written into x, or None where it fails a check of `steady_coordinates`."""
+    np.take(np.asarray(liouv, dtype=float).reshape(-1), band.src, out=band.work, mode="clip")
+    if band.solve() != 0:  # an exact zero pivot
+        return None
+    # the solution of A y = L[1:, 0] is -x[1:], and the sign goes in the normalisation
+    x[0] = -1.0
+    x[band.order] = band.rhs
+    x /= layout.trace @ x
+    if not np.isfinite(x).all():
+        return None
+    residual = _residual(liouv, x, layout)
+    return residual if residual <= STEADY_RESIDUAL_TOL else None  # NaN fails too
+
+
+def _dense_solve(liouv: np.ndarray, x: np.ndarray, layout: _Layout) -> float:
+    """Residual of the dense LU solve written into x; NumericalError where it fails a check."""
+    x[0] = 1.0
+    try:
+        x[1:] = np.linalg.solve(liouv[1:, 1:], -liouv[1:, 0])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"steady state is degenerate or undefined: {exc}") from exc
+    x /= layout.trace @ x
+    if not np.isfinite(x).all():
+        raise NumericalError("steady-state solve produced non-finite entries")
+    residual = _residual(liouv, x, layout)
+    if not residual <= STEADY_RESIDUAL_TOL:  # NaN counts as exceeding
+        raise NumericalError(f"steady-state residual exceeds {STEADY_RESIDUAL_TOL:.0e}")
+    return residual
+
+
 @np.errstate(all="ignore")
 def steady_coordinates(liouv: np.ndarray) -> tuple[np.ndarray, float]:
     """Null vector of the Liouvillian in balanced coordinates, at unit trace, and its residual.
@@ -260,38 +399,45 @@ def steady_coordinates(liouv: np.ndarray) -> tuple[np.ndarray, float]:
     The ground population is held at 1 while the other rows of L v = 0 are
     LU-solved for the remaining coordinates; the ground-population row is
     implied by the others, since L preserves the trace. The system matrix is
-    the block L[1:, 1:] itself, so `liouv` is neither copied nor changed.
-    The result is then scaled to unit trace; the residual is max |dρ/dt|
-    over the entries of L v. It reads only the diagonal and lower entries of
-    dρ/dt, since |dρ_ij| = |dρ_ji| exactly. Requires both decay rates positive for
-    uniqueness; a singular or ill-conditioned system, a steady state without
-    ground population, non-finite coordinates, or a residual that is not
-    within STEADY_RESIDUAL_TOL raises NumericalError, and no numpy warning.
+    the block A = L[1:, 1:], read in place, so `liouv` is neither copied nor
+    changed. The result is then scaled to unit trace; the residual is
+    max |dρ/dt| over the entries of L v. It reads only the diagonal and
+    lower entries of dρ/dt, since |dρ_ij| = |dρ_ji| exactly.
+
+    A is factored as a band matrix by one call of LAPACK's dgbsv. Its
+    coordinates are ordered stably by drive order N_a + N_b, the exponent the
+    balancing scales by; in that order the model's generator has 41
+    subdiagonals and 51 superdiagonals at fock_dim 6 (see `_band`). On a
+    2-core x86-64 host at one thread, a whole call, checks included, took
+    115 µs against 176 µs with numpy's dense LU of A, and 340 µs against
+    660 µs at fock_dim 8. The dense LU runs only where numpy's LAPACK has
+    no dgbsv (MKL, Accelerate), and to redo a band solve that fails a check:
+    an exact zero pivot, non-finite coordinates, or a residual above
+    STEADY_RESIDUAL_TOL. So a generator with entries outside the band still
+    gets its steady state, and every failure and its message is the dense
+    solve's.
+
+    Requires both decay rates positive for uniqueness; a singular or
+    ill-conditioned system, a steady state without ground population,
+    non-finite coordinates, or a residual that is not within
+    STEADY_RESIDUAL_TOL raises NumericalError, and no numpy warning.
     The solve, normalisation and residual run at one OpenBLAS thread, which
-    at fock_dim 6 is faster than its threaded LU and gives the same bytes at
+    at fock_dim 6 is faster than a threaded LU and gives the same bytes at
     any thread count; the caller's count is restored on return and on every
     raise. Solves from several Python threads run one at a time.
     """
     liouv = np.asarray(liouv)
     d = _check_generator(liouv)
     layout = _layout(d)
+    band = None if _dgbsv() is None else _band(d)
     x = np.empty(d * d)
-    x[0] = 1.0
     set_threads = _blas_threads()
     with _BLAS_LOCK:
         previous = set_threads(1)
         try:
-            try:
-                x[1:] = np.linalg.solve(liouv[1:, 1:], -liouv[1:, 0])
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"steady state is degenerate or undefined: {exc}") from exc
-            x /= layout.trace @ x
-            if not np.isfinite(x).all():
-                raise NumericalError("steady-state solve produced non-finite entries")
-            # dρ_ij for i >= j, folded as unvectorize folds them
-            residual = float(np.abs(_fold(liouv @ x, layout.lower_at, layout.lower_fold)).max())
-            if not residual <= STEADY_RESIDUAL_TOL:  # NaN counts as exceeding
-                raise NumericalError(f"steady-state residual exceeds {STEADY_RESIDUAL_TOL:.0e}")
+            residual = None if band is None else _band_solve(band, liouv, x, layout)
+            if residual is None:
+                residual = _dense_solve(liouv, x, layout)
         finally:
             set_threads(previous)
     return x, residual

@@ -4,8 +4,11 @@ Every operator product and Kronecker product is formed anew, so nothing is
 shared with the cached term table of `mbl.lindblad`. vec(A ρ B) = (Bᵀ ⊗ A) vec(ρ)
 with vec stacking columns.
 """
+import math
+
 import numpy as np
 
+from mbl import lindblad
 from mbl.core import annihilation, qubit_ops
 from mbl.lindblad import unvectorize, vectorize
 
@@ -72,3 +75,16 @@ def in_coordinates(liouv_c, dim):
 def trace_drift(liouv, dim):
     """max |trace(unvectorize(L v))| over the coordinate basis vectors v, the columns of L."""
     return float(np.max(np.abs(np.trace(unvectorize(liouv.T, dim), axis1=-2, axis2=-1))))
+
+
+def dense_steady_coordinates(liouv):
+    """numpy's dense LU solve of L[1:, 1:] at one BLAS thread, normalised as `steady_coordinates` normalises."""
+    set_threads = lindblad._blas_threads()
+    previous = set_threads(1)
+    try:
+        x = np.empty(liouv.shape[0])
+        x[0] = 1.0
+        x[1:] = np.linalg.solve(liouv[1:, 1:], -liouv[1:, 0])
+        return x / (lindblad._layout(math.isqrt(x.size)).trace @ x)
+    finally:
+        set_threads(previous)

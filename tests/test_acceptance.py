@@ -389,6 +389,53 @@ def test_weak_drive_richardson_route_agreement(acceptance_log):
         + " of the closed form (<1e-5)")
 
 
+@pytest.fixture(scope="module")
+def weak_drive_cloud():
+    """100 points drawn like test_route_equivalence_randomized, alternately in scenarios A and B.
+
+    Each entry is the closed form's g2 and the master equation's at both drives scaled by t.
+    """
+    rng = np.random.default_rng(52)
+    cloud = []
+    for k in range(100):
+        kw = dict(delta_m=rng.uniform(-20, 20), delta_s=rng.uniform(-20, 20), omega_d=rng.uniform(0.001, 0.02),
+                  kappa_m=rng.uniform(0.1, 1.0), kappa_s=rng.uniform(0.1, 1.0))
+        if k % 2:
+            kw.update(scenario="B", g_ms_tilde=rng.uniform(1, 25))
+        else:
+            kw.update(g_ms=rng.uniform(1, 25), omega_s=rng.uniform(0.01, 0.1))
+        params = SystemParams(**kw)
+        cloud.append((analytic_g2(params), {t: _g2_numeric(_drives_scaled(params, t)) for t in (1 / 8, 1 / 16, 1 / 32)}))
+    return cloud
+
+
+def test_weak_drive_cloud_richardson_route_agreement(weak_drive_cloud, acceptance_log):
+    """One Richardson step meets the closed form over a random cloud in both scenarios, dips or not."""
+    gaps = {t: max(abs((4 * g2[t / 2] - g2[t]) / 3 / g2_cf - 1) for g2_cf, g2 in weak_drive_cloud)
+            for t in (1 / 8, 1 / 16)}
+    # 2.4e-5 is the worst measured on such a cloud
+    assert max(gaps.values()) <= 5e-5
+    acceptance_log(
+        "PASS weak-drive cloud: Richardson within relative " + " and ".join(
+            f"{gap:.1e} at t = 1/{round(1 / t)}" for t, gap in gaps.items())
+        + f" of the closed form (<5e-5) over {len(weak_drive_cloud)} random points, scenarios A and B")
+
+
+def test_weak_drive_t_squared_law(weak_drive_cloud, acceptance_log):
+    """g2_num/g2_cf - 1 falls as t^2: halving both drives divides it by 4, wherever it stands above rounding."""
+    ratios = []
+    for g2_cf, g2 in weak_drive_cloud:
+        for t in (1 / 8, 1 / 16):
+            coarse, fine = g2[t] / g2_cf - 1, g2[t / 2] / g2_cf - 1
+            if abs(fine) > 1e-8:
+                ratios.append(coarse / fine)
+    assert len(ratios) >= 50
+    assert max(abs(ratio - 4) for ratio in ratios) <= 0.1
+    acceptance_log(
+        f"PASS weak-drive t^2 law: halving t divides the route gap by {min(ratios):.4f} to {max(ratios):.4f} "
+        f"(4 +- 0.1) at the {len(ratios)} halvings of t = 1/8 and 1/16 where the gap exceeds 1e-8")
+
+
 def test_dark_root_of_the_closed_form(acceptance_log):
     """At delta* = sqrt(g^2/4 - kappa^2/2) and Omega_s/Omega_d = 4 delta*/g the closed form's two-quantum amplitude vanishes.
 

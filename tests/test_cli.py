@@ -824,7 +824,7 @@ def test_main_reaches_what_the_parser_reaches(reached, tmp_path, command):
 
 # values a flag may meet: numbers the widened pattern reads as values, strings argparse takes
 # as flags or separators, values a type rejects, and one more flag (None)
-DRAWN_VALUES = ["1", "-3e-05", "-1E+2", "-.5", "", "-", "--", "abc", "-e5", "nan", " 2 ", "1_0", None]
+DRAWN_VALUES = ["1", "-3e-05", "-1E+2", "-.5", "", "-", "--", "abc", "-e5", "nan", " 2 ", "1_0", "-1_0", "-inf", None]
 
 
 def test_flag_table_reads_what_the_parser_reads(reached, capsys, monkeypatch):
@@ -901,8 +901,10 @@ def test_negative_number_pattern_is_widened():
     assert isinstance(argparse.ArgumentParser()._negative_number_matcher, re.Pattern)
     parser, commands = build_parser()
     for each in (parser, *commands.values()):
-        assert each._negative_number_matcher.match("-3e-05")
-        assert not each._negative_number_matcher.match("-e5")
+        for token in ("-3e-05", "-1_0", "-inf", "-nan", "-Infinity"):
+            assert each._negative_number_matcher.match(token)
+        for token in ("-e5", "-", "--1", "-1__0", "-infinite", "--delta", "-h", "1"):
+            assert not each._negative_number_matcher.match(token)
     # a real unknown flag still fails, also before a negative value
     for argv in (["steady", "--frobnicate", "-3e-05"], ["steady", "-3e-05"]):
         with pytest.raises(ParameterError, match="unrecognized arguments"):
@@ -920,6 +922,15 @@ def test_float_flags_take_negative_exponent_values(command):
             spaced = vars(parser.parse_args([command, flag, value]))
             assert spaced == vars(parser.parse_args([command, f"{flag}={value}"]))
             assert spaced == {"command": command, action.dest: float(value)}
+
+
+@pytest.mark.parametrize("value", ["-1_0", "-inf", "-nan", "-Infinity"])
+def test_spaced_negative_value_is_read_as_joined(capsys, value):
+    # a `-` token that float() reads is a value in both spellings: one exit code, stdout and stderr
+    spaced = run(capsys, "analytic", *BRIGHT[2:], "--delta", value)
+    assert spaced == run(capsys, "analytic", *BRIGHT[2:], f"--delta={value}")
+    # -1_0 is δ = -10; the others reach the finiteness check, not argparse's "expected one argument"
+    assert spaced[0] == 0 if value == "-1_0" else spaced == (1, "", f"error: delta_m must be a finite real number, got {float(value)}\n")
 
 
 def test_runtime_needs_no_scipy(tmp_path):

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liouvillian_reference import (dissipator_superop, hamiltonian_superop,
-                                   in_coordinates, reference_build,
+from liouvillian_reference import (dense_steady_coordinates, dissipator_superop,
+                                   hamiltonian_superop, in_coordinates, reference_build,
                                    trace_drift, unvec_columns, vec_columns)
+from mbl import lindblad
 from mbl.core import Space, annihilation, projector, qubit_ops
 from mbl.errors import NumericalError, ParameterError
 from mbl.lindblad import (BALANCE, build_liouvillian, evolve, fock_populations,
@@ -256,6 +257,81 @@ def test_blas_pin_holds_across_python_threads(bright_params):
             assert results == [[want] * 300] * 2
     finally:
         set_threads(caller)
+
+
+def test_band_binding_solves_a_tridiagonal_system():
+    # a wrong integer width would misread n, kl, ku and every argument after them
+    bound = lindblad._dgbsv()
+    if bound is None:
+        pytest.skip("numpy's LAPACK exports no dgbsv")
+    routine, integer = bound
+    # [[1, 4, 0], [3, 5, 1], [0, 2, 6]] x = [9, 16, 22] has x = [1, 2, 3]; kl = ku = 1, so LDAB = 4.
+    # Each row below is one column of the band storage: A[i, j] sits at entry 2 + i - j
+    ab = np.array([[0.0, 0.0, 1.0, 3.0], [0.0, 4.0, 5.0, 2.0], [0.0, 1.0, 6.0, 0.0]])
+    rhs = np.array([9.0, 16.0, 22.0])
+    ipiv = np.zeros(3, dtype=integer)
+    info = integer(-99)
+    routine(*(ctypes.byref(integer(v)) for v in (3, 1, 1, 1)), ab.ctypes.data_as(ctypes.c_void_p),
+            ctypes.byref(integer(4)), ipiv.ctypes.data_as(ctypes.c_void_p), rhs.ctypes.data_as(ctypes.c_void_p),
+            ctypes.byref(integer(3)), ctypes.byref(info))
+    assert info.value == 0
+    np.testing.assert_allclose(rhs, [1.0, 2.0, 3.0], rtol=1e-14)
+    # partial pivoting swaps the first two rows (3 > 1), then keeps the order (4 - 5/3 > 2)
+    assert ipiv.tolist() == [2, 2, 3]
+
+
+def test_band_holds_the_model_generator(bright_params):
+    # in drive order the model's generator reaches 41 places below its diagonal and 51 above at
+    # fock_dim 6, and the band storage holds every nonzero entry of L[1:, 1:] exactly once
+    if lindblad._dgbsv() is None:
+        pytest.skip("numpy's LAPACK exports no dgbsv")
+    band = lindblad._band(12)
+    assert band.work.size == 143 * (2 * 41 + 51 + 1) + 143
+    orders = lindblad._layout(12).order[band.order]
+    assert np.array_equal(np.sort(orders), orders)
+    held = band.src[: band.work.size - band.order.size]
+    held = held[held != 0]
+    assert np.unique(held).size == held.size
+    for p in (bright_params, bright_params.replace(n_th=0.5),
+              bright_params.replace(scenario="B", g_ms=0.0, omega_s=0.0, g_ms_tilde=50.1)):
+        liouv = build_liouvillian(p)
+        assert np.count_nonzero(liouv.reshape(-1)[held]) == np.count_nonzero(liouv[1:, 1:])
+
+
+def test_out_of_band_generator_is_solved_by_the_redo(bright_params, monkeypatch):
+    # a two-quantum loss m² couples drive orders four apart, outside the model's band: the band
+    # solve fails its residual check, and the dense LU redoes it
+    p = bright_params.replace(omega_s=1.8, omega_d=0.3, fock_dim=4)
+    space = p.space()
+    m = annihilation(space)
+    liouv_c = reference_build(p)[1] + 0.5 * 0.3 * dissipator_superop(m @ m)
+    liouv = in_coordinates(liouv_c, space.total_dim)
+    redone = []
+    dense = lindblad._dense_solve
+    monkeypatch.setattr(lindblad, "_dense_solve", lambda *args: redone.append(True) or dense(*args))
+    x, residual = steady_coordinates(liouv)
+    assert redone == [True]
+    assert x.tobytes() == dense_steady_coordinates(liouv).tobytes()
+    assert residual < 1e-14
+    # the null vector of the complex generator, which no LU solve reaches
+    null = np.linalg.svd(liouv_c)[2][-1].conj()
+    rho = unvec_columns(null, space.total_dim) / np.sum(null[:: space.total_dim + 1])
+    assert np.max(np.abs(unvectorize(x, space.total_dim) - rho)) < 1e-12
+
+
+def test_without_band_solver_the_dense_lu_solves(bright_params, monkeypatch):
+    # where numpy's LAPACK has no dgbsv, a solve is numpy's dense LU, bit for bit
+    liouvs = [build_liouvillian(p) for p in (bright_params, figure_preset("fig3b").params_at(50, 50),
+                                             bright_params.replace(fock_dim=8))]
+    banded = [steady_coordinates(liouv)[0] for liouv in liouvs]
+    monkeypatch.setattr(lindblad, "_dgbsv", lambda: None)
+    for liouv, band_x in zip(liouvs, banded):
+        x, residual = steady_coordinates(liouv)
+        assert x.tobytes() == dense_steady_coordinates(liouv).tobytes()
+        assert residual < 1e-14
+        assert np.max(np.abs(x - band_x)) <= 1e-11 * np.max(np.abs(x))
+    with pytest.raises(NumericalError, match="Singular matrix"):
+        steady_coordinates(np.zeros((16, 16)))
 
 
 # g2 from a 40-digit mpmath LU solve (mp.dps = 40) of the double-precision complex,

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mbl import lindblad
 from mbl.core import projector
 from mbl.errors import NumericalError, ParameterError
 from mbl.analytic import analytic_g2
@@ -325,6 +326,13 @@ def test_overflow_fails_its_cell_without_a_warning():
     assert solve.failures == [((1, 0), "NumericalError: steady-state solve produced non-finite entries")]
     assert rule.failures == [((0, 0), "NumericalError: g2 = nan is not finite: the amplitudes overflow"),
                              ((1, 0), "ParameterError: delta_m must be a finite real number, got inf")]
+
+
+def test_failure_tags_hold_without_the_band_solver(monkeypatch):
+    # where numpy's LAPACK has no dgbsv, the dense LU solves every cell and raises every tag
+    monkeypatch.setattr(lindblad, "_dgbsv", lambda: None)
+    test_both_g2_failure_tags_are_pinned()
+    test_overflow_fails_its_cell_without_a_warning()
 
 
 def test_evaluate_point_populations(broad_params):

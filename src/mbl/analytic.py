@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .core import Space
+from .core import G2_FLOOR, Space
 from .errors import NumericalError, ParameterError, finite_real, nonnegative
 from .model import SystemParams, build_h_nonhermitian
 
@@ -64,8 +64,6 @@ def reduced_matrix(params: SystemParams) -> np.ndarray:
 
 # chi or the pair term below 1e-14 of chi's largest part is singular; compared squared
 _SINGULAR_REL2 = 1e-28
-# g2 is undefined where |c_g1|⁴ falls below this
-_G2_FLOOR = 1e-300
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -164,7 +162,7 @@ def amplitude_g2(amps: np.ndarray) -> float:
     # Python complexes: their float arithmetic overflows to inf without a numpy warning
     _, _, c_g1, _, c_g2 = amps.tolist()
     num, den = _g2_terms((c_g1.real, c_g1.imag), (c_g2.real, c_g2.imag))
-    if den < _G2_FLOOR:
+    if den < G2_FLOOR:
         raise NumericalError("g2 is undefined: single-quantum amplitude vanishes")
     g2 = float(num / den)
     if not math.isfinite(g2):
@@ -189,7 +187,7 @@ def analytic_g2_array(fields) -> np.ndarray:
         singular, (_, (n1, d1), _, (n2, d2)) = _cascade(fields)
         num, den = _g2_terms(_div(n1, d1), _div(n2, d2))
         g2 = num / den
-        return np.where(singular | (den < _G2_FLOOR) | ~np.isfinite(g2), np.nan, g2)
+        return np.where(singular | (den < G2_FLOOR) | ~np.isfinite(g2), np.nan, g2)
 
 
 def optimal_detuning(g: float) -> tuple[float, float]:

@@ -17,6 +17,9 @@ from .errors import ParameterError, integer
 
 QUBIT_DIM = 2
 
+# g2 = ⟨m†m†mm⟩ / ⟨m†m⟩² is undefined where its denominator, ⟨m†m⟩² or the closed form's |c_g1|⁴, is below this
+G2_FLOOR = 1e-300
+
 
 @dataclass(frozen=True)
 class Space:

@@ -26,22 +26,23 @@ coordinates are sorted stably by drive order N_a + N_b. In that order the
 exchange coupling, the detunings and the decay terms keep a coordinate's
 order, a drive moves it by one, and a jump by two (down for a loss, up for
 a thermal bath), so the model's generator is banded: 41 subdiagonals and
-51 superdiagonals of 142 at fock_dim 6. LAPACK's dgbsv, from the OpenBLAS
-numpy loaded, factors and solves it in one call through ctypes: about
-95 µs with the band gathered, where numpy's dense LU takes about 160 µs,
-at one thread on a 2-core x86-64 host.
-numpy's dense LU runs only where its LAPACK has no dgbsv (MKL, Accelerate),
-and to redo a band solve that fails a check (see `steady_coordinates`).
+51 superdiagonals of 142 at fock_dim 6. LAPACK's dgbsv factors and solves
+it in one call: about 95 µs with the band gathered, where numpy's dense LU
+takes about 160 µs, at one thread on a 2-core x86-64 host. Either LU only
+fills the coordinates, and one check sequence (unit trace, finite,
+residual) follows it; numpy's dense LU runs where its LAPACK has no dgbsv
+(MKL, Accelerate), and to redo a band solve that fails a check.
 
 Every steady-state solve runs at one BLAS thread. OpenBLAS threads a dense
 LU from m·n >= 10,000, and it threads the dgemm and dtrsm calls of dgbsv's
 blocked factorisation too; at fock_dim 6 (143 × 143) the thread hand-off
 costs more than it saves: the dense LU took 158 µs at two threads against
-111 µs at one on a 2-core x86-64 host. One thread also gives the same bytes at any
-OPENBLAS_NUM_THREADS; where numpy's BLAS is not OpenBLAS (MKL, Accelerate,
-a system BLAS), the solve runs at the library's own setting. The count is
-process-wide, so solves from several Python threads take turns under one
-lock, each restoring the count it found.
+111 µs at one on a 2-core x86-64 host. One thread also gives the same bytes
+at any OPENBLAS_NUM_THREADS. The thread-count setter and dgbsv are one
+ctypes binding of the OpenBLAS numpy loaded (`_openblas`); where numpy's
+BLAS is another library, the solve runs at that library's own setting. The
+count is process-wide, so solves from several Python threads take turns
+under one lock, each restoring the count it found.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import QUBIT_DIM, Space, expm
+from .core import G2_FLOOR, QUBIT_DIM, Space, expm
 from .errors import NumericalError, ParameterError
 from .model import SystemParams, model_coefficients, model_terms
 
@@ -233,46 +234,37 @@ def build_liouvillian(params: SystemParams) -> np.ndarray:
     return liouvillian_workspace(params).copy()
 
 
-@functools.cache
-def _openblas() -> ctypes.CDLL | None:
-    """The OpenBLAS numpy loaded, or None where numpy's BLAS is another library.
+class _OpenBLAS(NamedTuple):
+    """What `steady_coordinates` calls in the OpenBLAS numpy loaded."""
 
-    numpy's wheels carry it in `numpy.libs/` (Linux, Windows) or
+    set_threads: Callable[[int], int]  # sets the process-wide thread count and returns the previous one
+    dgbsv: tuple[Callable, type] | None  # LAPACK's band solver and its ctypes integer type; None without it
+
+
+@functools.cache
+def _openblas() -> _OpenBLAS:
+    """`openblas_set_num_threads_local` and `dgbsv` of the OpenBLAS numpy loaded, bound once.
+
+    numpy's wheels carry the library in `numpy.libs/` (Linux, Windows) or
     `numpy/.dylibs/` (macOS). It is opened on the first solve, not at import,
-    so importing `mbl` opens no file.
+    so importing `mbl` opens no file. A plain OpenBLAS exports `dgbsv_` with
+    32-bit integers; numpy 2's scipy-openblas prefixes `scipy_` and suffixes
+    `64_`, and the suffix means 64-bit integers. Where numpy's BLAS is another
+    library, the setter changes nothing and returns its argument, and there
+    is no `dgbsv`.
     """
     package = Path(np.__file__).parent
+    lib = None
     for path in sorted([*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]):
         try:
-            return ctypes.CDLL(str(path))
+            lib = ctypes.CDLL(str(path))
+            break
         except OSError:
             continue
-    return None
-
-
-@functools.cache
-def _blas_threads() -> Callable[[int], int]:
-    """Setter of the BLAS thread count that returns the previous count.
-
-    It is `openblas_set_num_threads_local` of `_openblas`. Without that
-    library or symbol the setter changes nothing and returns its argument.
-    """
-    setter = getattr(_openblas(), "openblas_set_num_threads_local", None)
-    if setter is None:
-        return lambda count: count
-    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-    return setter
-
-
-@functools.cache
-def _dgbsv() -> tuple[Callable, type] | None:
-    """LAPACK's band solver `dgbsv` from `_openblas`, with its integer type; None without it.
-
-    A plain OpenBLAS exports `dgbsv_` with 32-bit integers. numpy 2's
-    scipy-openblas prefixes `scipy_` and suffixes `64_`, and the suffix means
-    64-bit integers.
-    """
-    lib = _openblas()
+    setter = getattr(lib, "openblas_set_num_threads_local", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    dgbsv = None
     for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_")):
         routine = getattr(lib, f"{prefix}dgbsv_{suffix}", None)
         if routine is not None:
@@ -281,8 +273,9 @@ def _dgbsv() -> tuple[Callable, type] | None:
             index, array = ctypes.POINTER(integer), ctypes.c_void_p
             routine.argtypes = [index, index, index, index, array, index, array, array, index, index]
             routine.restype = None
-            return routine, integer
-    return None
+            dgbsv = routine, integer
+            break
+    return _OpenBLAS(setter or (lambda count: count), dgbsv)
 
 
 # held around a solve's pin and restore, and around the band work arrays: the count is
@@ -291,26 +284,26 @@ _BLAS_LOCK = threading.Lock()
 
 
 class _Band(NamedTuple):
-    """The block L[1:, 1:] in drive order, as LAPACK band storage, with its dgbsv call."""
+    """The block L[1:, 1:] in drive order, as LAPACK band storage, with dgbsv's arguments."""
 
     order: np.ndarray  # (D² - 1,): coordinates 1 … D² - 1 sorted stably by drive order
     src: np.ndarray  # flat index into L of each entry of `work`; 0 where dgbsv reads nothing
     work: np.ndarray  # the band, column-major (2kl + ku + 1) × (D² - 1), then the right-hand side
     rhs: np.ndarray  # view of the tail of `work`: L[order, 0] on entry, the solution on return
-    solve: Callable[[], int]  # dgbsv on `work`, in place; returns LAPACK's info
+    args: tuple  # dgbsv's arguments on `work`, by reference
+    info: ctypes.c_int32 | ctypes.c_int64  # LAPACK's info, written by each call
 
 
 @functools.lru_cache(maxsize=8)
-def _band(dim: int) -> _Band:
+def _band(dim: int, integer: type) -> _Band:
     """Band storage and work arrays of `steady_coordinates` for density matrices of dimension `dim`.
 
     The coordinates 1 … D² - 1 are sorted stably by drive order, and the
     band widths are read off the model's term pattern at this truncation,
     thermal jumps included: 41 below and 51 above the diagonal at
     fock_dim 6. About 0.15 MB each for the index map and the work array
-    there. Requires `_dgbsv`.
+    there. `integer` is the ctypes integer type of the `dgbsv` they are for.
     """
-    routine, integer = _dgbsv()
     d2 = dim * dim
     order = np.argsort(_layout(dim).order[1:], kind="stable") + 1
     n = order.size
@@ -336,13 +329,8 @@ def _band(dim: int) -> _Band:
     args = (*(ctypes.byref(integer(v)) for v in (n, kl, ku, 1)), work.ctypes.data_as(ctypes.c_void_p),
             ctypes.byref(integer(ldab)), ipiv.ctypes.data_as(ctypes.c_void_p),
             work[n * ldab :].ctypes.data_as(ctypes.c_void_p), ctypes.byref(integer(n)), ctypes.byref(info))
-
-    def solve() -> int:
-        routine(*args)
-        return info.value
-
     src.setflags(write=False)
-    return _Band(order, src, work, work[n * ldab :], solve)
+    return _Band(order, src, work, work[n * ldab :], args, info)
 
 
 def _check_generator(liouv: np.ndarray) -> int:
@@ -356,37 +344,32 @@ def _check_generator(liouv: np.ndarray) -> int:
     return d
 
 
-def _residual(liouv: np.ndarray, x: np.ndarray, layout: _Layout) -> float:
-    """max |dρ_ij| over i >= j, folded as unvectorize folds them; |dρ_ij| = |dρ_ji| exactly."""
-    return float(np.abs(_fold(liouv @ x, layout.lower_at, layout.lower_fold)).max())
-
-
-def _band_solve(band: _Band, liouv: np.ndarray, x: np.ndarray, layout: _Layout) -> float | None:
-    """Residual of the band solve written into x, or None where it fails a check of `steady_coordinates`."""
+def _band_lu(dgbsv: tuple[Callable, type], liouv: np.ndarray, x: np.ndarray) -> None:
+    """Null vector of L up to scale by the band LU of L[1:, 1:], into x; NaN where dgbsv meets an exact zero pivot."""
+    routine, integer = dgbsv
+    band = _band(math.isqrt(x.size), integer)
     np.take(np.asarray(liouv, dtype=float).reshape(-1), band.src, out=band.work, mode="clip")
-    if band.solve() != 0:  # an exact zero pivot
-        return None
+    routine(*band.args)
     # the solution of A y = L[1:, 0] is -x[1:], and the sign goes in the normalisation
     x[0] = -1.0
-    x[band.order] = band.rhs
-    x /= layout.trace @ x
-    if not np.isfinite(x).all():
-        return None
-    residual = _residual(liouv, x, layout)
-    return residual if residual <= STEADY_RESIDUAL_TOL else None  # NaN fails too
+    x[band.order] = band.rhs if band.info.value == 0 else math.nan
 
 
-def _dense_solve(liouv: np.ndarray, x: np.ndarray, layout: _Layout) -> float:
-    """Residual of the dense LU solve written into x; NumericalError where it fails a check."""
+def _dense_lu(liouv: np.ndarray, x: np.ndarray) -> None:
+    """Null vector of L up to scale by numpy's dense LU of L[1:, 1:], into x; NumericalError where it is singular."""
     x[0] = 1.0
     try:
         x[1:] = np.linalg.solve(liouv[1:, 1:], -liouv[1:, 0])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"steady state is degenerate or undefined: {exc}") from exc
+
+
+def _checked(liouv: np.ndarray, x: np.ndarray, layout: _Layout) -> float:
+    """Residual of x, max |dρ_ij| over i >= j, after scaling x to unit trace; NumericalError names a failed check."""
     x /= layout.trace @ x
     if not np.isfinite(x).all():
         raise NumericalError("steady-state solve produced non-finite entries")
-    residual = _residual(liouv, x, layout)
+    residual = float(np.abs(_fold(liouv @ x, layout.lower_at, layout.lower_fold)).max())
     if not residual <= STEADY_RESIDUAL_TOL:  # NaN counts as exceeding
         raise NumericalError(f"steady-state residual exceeds {STEADY_RESIDUAL_TOL:.0e}")
     return residual
@@ -410,17 +393,25 @@ def steady_coordinates(liouv: np.ndarray) -> tuple[np.ndarray, float]:
     subdiagonals and 51 superdiagonals at fock_dim 6 (see `_band`). On a
     2-core x86-64 host at one thread, a whole call, checks included, took
     115 µs against 176 µs with numpy's dense LU of A, and 340 µs against
-    660 µs at fock_dim 8. The dense LU runs only where numpy's LAPACK has
-    no dgbsv (MKL, Accelerate), and to redo a band solve that fails a check:
-    an exact zero pivot, non-finite coordinates, or a residual above
-    STEADY_RESIDUAL_TOL. So a generator with entries outside the band still
-    gets its steady state, and every failure and its message is the dense
-    solve's.
+    660 µs at fock_dim 8.
 
-    Requires both decay rates positive for uniqueness; a singular or
-    ill-conditioned system, a steady state without ground population,
-    non-finite coordinates, or a residual that is not within
-    STEADY_RESIDUAL_TOL raises NumericalError, and no numpy warning.
+    Either LU only fills the coordinates, and one check sequence follows:
+    scale to unit trace, then refuse non-finite coordinates, then a residual
+    above STEADY_RESIDUAL_TOL. A band result that passes is returned; any
+    other (an exact zero pivot leaves NaN) is redone by numpy's dense LU,
+    also the only LU where numpy's LAPACK has no dgbsv (MKL, Accelerate). So
+    a generator with entries outside the band still gets its steady state,
+    and the NumericalError raised, with no numpy warning, is the dense LU's:
+    a singular A, or the first check it fails.
+
+    Both decay rates positive make the steady state unique. Where the kernel
+    is degenerate, whether the generator is refused depends on rounding:
+    with κ_s = 0 beside an uncoupled, undriven two-level system at
+    n_th = 0.2, fock_dim 3 raises "Singular matrix" while fock_dims 4 to 10
+    solve. Nothing couples the upper level's block to the ground population
+    held at 1, so a result that is returned has the two-level system in its
+    lower level and the oscillator at the thermal law P_n ∝ (n_th/(n_th+1))ⁿ.
+
     The solve, normalisation and residual run at one OpenBLAS thread, which
     at fock_dim 6 is faster than a threaded LU and gives the same bytes at
     any thread count; the caller's count is restored on return and on every
@@ -429,18 +420,21 @@ def steady_coordinates(liouv: np.ndarray) -> tuple[np.ndarray, float]:
     liouv = np.asarray(liouv)
     d = _check_generator(liouv)
     layout = _layout(d)
-    band = None if _dgbsv() is None else _band(d)
+    blas = _openblas()
     x = np.empty(d * d)
-    set_threads = _blas_threads()
     with _BLAS_LOCK:
-        previous = set_threads(1)
+        previous = blas.set_threads(1)
         try:
-            residual = None if band is None else _band_solve(band, liouv, x, layout)
-            if residual is None:
-                residual = _dense_solve(liouv, x, layout)
+            if blas.dgbsv is not None:
+                _band_lu(blas.dgbsv, liouv, x)
+                try:
+                    return x, _checked(liouv, x, layout)
+                except NumericalError:
+                    pass  # redone below, where a failure is the one raised
+            _dense_lu(liouv, x)
+            return x, _checked(liouv, x, layout)
         finally:
-            set_threads(previous)
-    return x, residual
+            blas.set_threads(previous)
 
 
 def steady_state(liouv: np.ndarray) -> np.ndarray:
@@ -521,7 +515,7 @@ def g2_from_moments(occupation, pairs) -> np.ndarray | float:
     underflows. Nothing is divided by such an occupation, so nothing warns.
     """
     square = occupation * occupation
-    defined = (occupation > 0.0) & (square >= 1e-300)
+    defined = (occupation > 0.0) & (square >= G2_FLOOR)
     if isinstance(defined, np.ndarray):
         return np.where(defined, pairs / np.where(defined, square, 1.0), np.nan)
     # one state: the same selection without np.where's 0-d arrays, which cost a `mbl steady` probe 8 µs

@@ -1,6 +1,7 @@
 """Shared fixtures plus a terminal summary for the acceptance checks."""
 import pytest
 
+from mbl import lindblad
 from mbl.model import SystemParams
 
 ACCEPTANCE_LINES: list[str] = []
@@ -19,6 +20,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance summary")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def without_dgbsv(monkeypatch):
+    """numpy's OpenBLAS bound as if its LAPACK had no dgbsv (MKL, Accelerate): every solve is the dense LU."""
+    blas = lindblad._openblas()
+    monkeypatch.setattr(lindblad, "_openblas", lambda: blas._replace(dgbsv=None))
 
 
 @pytest.fixture

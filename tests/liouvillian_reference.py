@@ -79,7 +79,7 @@ def trace_drift(liouv, dim):
 
 def dense_steady_coordinates(liouv):
     """numpy's dense LU solve of L[1:, 1:] at one BLAS thread, normalised as `steady_coordinates` normalises."""
-    set_threads = lindblad._blas_threads()
+    set_threads = lindblad._openblas().set_threads
     previous = set_threads(1)
     try:
         x = np.empty(liouv.shape[0])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from golden_outputs import CASES, REFERENCE, REPORT_RTOL, SUM_ATOL, summarize
-from mbl import lindblad
 
 GOLDEN = json.loads(REFERENCE.read_text(encoding="utf-8"))
 
@@ -41,7 +40,6 @@ def test_output_matches_golden(name):
 
 
 @pytest.mark.parametrize("name", ["failure_tags", "overflow_tag"])
-def test_failure_cases_match_golden_without_the_band_solver(monkeypatch, name):
+def test_failure_cases_match_golden_without_the_band_solver(without_dgbsv, name):
     # where numpy's LAPACK has no dgbsv, the dense LU writes the same failure cells
-    monkeypatch.setattr(lindblad, "_dgbsv", lambda: None)
     test_output_matches_golden(name)

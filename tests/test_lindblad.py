@@ -4,6 +4,7 @@ import itertools
 import re
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -261,7 +262,7 @@ def test_blas_pin_holds_across_python_threads(bright_params):
 
 def test_band_binding_solves_a_tridiagonal_system():
     # a wrong integer width would misread n, kl, ku and every argument after them
-    bound = lindblad._dgbsv()
+    bound = lindblad._openblas().dgbsv
     if bound is None:
         pytest.skip("numpy's LAPACK exports no dgbsv")
     routine, integer = bound
@@ -283,9 +284,10 @@ def test_band_binding_solves_a_tridiagonal_system():
 def test_band_holds_the_model_generator(bright_params):
     # in drive order the model's generator reaches 41 places below its diagonal and 51 above at
     # fock_dim 6, and the band storage holds every nonzero entry of L[1:, 1:] exactly once
-    if lindblad._dgbsv() is None:
+    bound = lindblad._openblas().dgbsv
+    if bound is None:
         pytest.skip("numpy's LAPACK exports no dgbsv")
-    band = lindblad._band(12)
+    band = lindblad._band(12, bound[1])
     assert band.work.size == 143 * (2 * 41 + 51 + 1) + 143
     orders = lindblad._layout(12).order[band.order]
     assert np.array_equal(np.sort(orders), orders)
@@ -298,7 +300,7 @@ def test_band_holds_the_model_generator(bright_params):
         assert np.count_nonzero(liouv.reshape(-1)[held]) == np.count_nonzero(liouv[1:, 1:])
 
 
-def test_out_of_band_generator_is_solved_by_the_redo(bright_params, monkeypatch):
+def test_out_of_band_generator_is_solved_by_the_redo(bright_params):
     # a two-quantum loss m² couples drive orders four apart, outside the model's band: the band
     # solve fails its residual check, and the dense LU redoes it
     p = bright_params.replace(omega_s=1.8, omega_d=0.3, fock_dim=4)
@@ -306,11 +308,9 @@ def test_out_of_band_generator_is_solved_by_the_redo(bright_params, monkeypatch)
     m = annihilation(space)
     liouv_c = reference_build(p)[1] + 0.5 * 0.3 * dissipator_superop(m @ m)
     liouv = in_coordinates(liouv_c, space.total_dim)
-    redone = []
-    dense = lindblad._dense_solve
-    monkeypatch.setattr(lindblad, "_dense_solve", lambda *args: redone.append(True) or dense(*args))
-    x, residual = steady_coordinates(liouv)
-    assert redone == [True]
+    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as dense:
+        x, residual = steady_coordinates(liouv)
+    assert dense.call_count == 1
     assert x.tobytes() == dense_steady_coordinates(liouv).tobytes()
     assert residual < 1e-14
     # the null vector of the complex generator, which no LU solve reaches
@@ -319,12 +319,12 @@ def test_out_of_band_generator_is_solved_by_the_redo(bright_params, monkeypatch)
     assert np.max(np.abs(unvectorize(x, space.total_dim) - rho)) < 1e-12
 
 
-def test_without_band_solver_the_dense_lu_solves(bright_params, monkeypatch):
+def test_without_band_solver_the_dense_lu_solves(bright_params, request):
     # where numpy's LAPACK has no dgbsv, a solve is numpy's dense LU, bit for bit
     liouvs = [build_liouvillian(p) for p in (bright_params, figure_preset("fig3b").params_at(50, 50),
                                              bright_params.replace(fock_dim=8))]
     banded = [steady_coordinates(liouv)[0] for liouv in liouvs]
-    monkeypatch.setattr(lindblad, "_dgbsv", lambda: None)
+    request.getfixturevalue("without_dgbsv")
     for liouv, band_x in zip(liouvs, banded):
         x, residual = steady_coordinates(liouv)
         assert x.tobytes() == dense_steady_coordinates(liouv).tobytes()
@@ -397,6 +397,57 @@ def test_thermal_occupation():
     assert fock_populations(rho, s) @ np.arange(s.fock_dim) == pytest.approx(0.2, abs=1e-8)
     # thermal light bunches: g2 = 2
     assert g2_zero(rho, s) == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("band", [True, False], ids=["band", "dense"])
+@pytest.mark.parametrize("fock_dim", range(3, 9))
+def test_degenerate_kernel_is_refused_or_solved_in_the_lower_level(fock_dim, band, request):
+    # with kappa_s = 0 beside an uncoupled, undriven two-level system its upper level's weight is
+    # free; rounding decides whether the LU refuses, and a solve empties that level
+    if not band:
+        request.getfixturevalue("without_dgbsv")
+    p = SystemParams(n_th=0.2, kappa_s=0.0, fock_dim=fock_dim)
+    try:
+        rho = steady_state(build_liouvillian(p))
+    except NumericalError as exc:
+        assert str(exc) == "steady state is degenerate or undefined: Singular matrix"
+        return
+    lower = np.diagonal(rho).real[:fock_dim]
+    assert abs(lower.sum() - 1.0) <= 1e-12
+    law = (0.2 / 1.2) ** np.arange(fock_dim)
+    assert np.max(np.abs(lower - law / law.sum())) <= 1e-12
+
+
+def test_zero_pivot_of_the_band_lu_is_redone(monkeypatch):
+    # beside an uncoupled two-level system with kappa_s = 0 the band LU meets an exact zero pivot;
+    # the dense LU then solves, bit for bit
+    blas = lindblad._openblas()
+    if blas.dgbsv is None:
+        pytest.skip("numpy's LAPACK exports no dgbsv")
+    routine, integer = blas.dgbsv
+    infos = []
+
+    def recorded(*args):
+        routine(*args)
+        infos.append(lindblad._band(8, integer).info.value)
+
+    monkeypatch.setattr(lindblad, "_openblas", lambda: blas._replace(dgbsv=(recorded, integer)))
+    liouv = build_liouvillian(SystemParams(n_th=0.2, kappa_s=0.0, omega_d=1.0, fock_dim=4))
+    x, residual = steady_coordinates(liouv)
+    assert len(infos) == 1 and infos[0] > 0
+    assert x.tobytes() == dense_steady_coordinates(liouv).tobytes()
+    assert residual <= lindblad.STEADY_RESIDUAL_TOL
+
+
+def test_solve_pins_one_thread_through_the_binding(bright_params, monkeypatch):
+    # the binding's setter pins one thread around each solve and restores the count it returned, on a raise too
+    blas = lindblad._openblas()
+    counts = []
+    monkeypatch.setattr(lindblad, "_openblas", lambda: blas._replace(set_threads=lambda n: counts.append(n) or 7))
+    steady_coordinates(build_liouvillian(bright_params))
+    with pytest.raises(NumericalError):
+        steady_coordinates(np.zeros((16, 16)))
+    assert counts == [1, 7, 1, 7]
 
 
 def test_evolve_matches_steady_state(broad_params):

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from mbl import lindblad
 from mbl.core import projector
 from mbl.errors import NumericalError, ParameterError
 from mbl.analytic import analytic_g2
@@ -328,9 +327,8 @@ def test_overflow_fails_its_cell_without_a_warning():
                              ((1, 0), "ParameterError: delta_m must be a finite real number, got inf")]
 
 
-def test_failure_tags_hold_without_the_band_solver(monkeypatch):
+def test_failure_tags_hold_without_the_band_solver(without_dgbsv):
     # where numpy's LAPACK has no dgbsv, the dense LU solves every cell and raises every tag
-    monkeypatch.setattr(lindblad, "_dgbsv", lambda: None)
     test_both_g2_failure_tags_are_pinned()
     test_overflow_fails_its_cell_without_a_warning()
 

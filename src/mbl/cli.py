@@ -15,7 +15,8 @@ only the rest (no arguments, -h, --version, an unknown command), with the
 same messages and exit codes. A JSON config file (--config) can
 carry everything a run needs: each of its keys stands for one flag, a key
 counts only for a command that has that flag, and command-line flags
-override config values. An output option that could not act is refused.
+override config values. An output option that could not act is refused,
+and so is an output path that no file can be written to.
 Exit codes: 0 success, 1 bad input or config, 2 numerical failure.
 """
 
@@ -25,6 +26,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 
@@ -34,8 +36,8 @@ from . import __version__
 from .analytic import STATE_NAMES, amplitude_g2, closed_form_amplitudes, optimal_detuning
 from .errors import NumericalError, ParameterError, finite_real, positive
 from .lindblad import (
+    build_liouvillian,
     fock_populations,
-    liouvillian_workspace,
     point_g2,
     population_moments,
     steady_coordinates,
@@ -304,10 +306,12 @@ def _axis(raw, which: str) -> SweepAxis:
 
 
 def _output(command: str, opts: dict) -> tuple[str | None, str, float | None]:
-    """Output path, format and reference rate; an option that cannot act is refused."""
+    """Output path, format and reference rate; an option that cannot act, or a path no file can take, is refused."""
     out, fmt, gamma = opts.get("out"), opts.get("format", "csv"), opts.get("gamma_mhz")
     if out is not None and not isinstance(out, str):
         raise ParameterError(f"output path must be a string, got {out!r}")
+    if out is not None and (out == "" or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ParameterError(f"output path {out!r} names no file in an existing directory")
     if fmt not in ("csv", "json"):
         raise ParameterError(f"output format must be 'csv' or 'json', got {fmt!r}")
     if gamma is not None:
@@ -339,7 +343,7 @@ def _report(pairs: dict[str, float], out: str | None, fmt: str, gamma: float | N
 def _cmd_steady(opts: dict, out: str | None, fmt: str, gamma: float | None) -> int:
     params = _params(opts)
     space = params.space()
-    x, residual = steady_coordinates(liouvillian_workspace(params))
+    x, residual = steady_coordinates(build_liouvillian(params))
     # ρ is Hermitian by construction, so the report carries no Hermiticity defect
     rho = unvectorize(x, space.total_dim)
     # one read-out: the populations and moments that give the occupation also give g2

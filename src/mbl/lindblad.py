@@ -15,11 +15,8 @@ off with N_a+N_b (Liew & Savona, PRL 104, 183601 (2010)), so the scaling
 evens out the rows of the steady-state system before it is LU-solved.
 ε = 1/2 is a power of two, so the scaling rounds nothing.
 
-There is one generator buffer per truncation, cached with the term table
-that fills it: `liouvillian_workspace` writes a point's generator into it
-and returns the buffer itself, so a numeric point allocates no fresh
-D² × D² matrix. The buffer is not reentrant: it holds the last point built
-for its truncation. `build_liouvillian` returns a copy of it.
+`build_liouvillian` writes each point's generator into a fresh array, from
+a table of the model's terms cached per truncation.
 
 The steady state solves the block L[1:, 1:] as a band matrix. Its
 coordinates are sorted stably by drive order N_a + N_b. In that order the
@@ -41,8 +38,9 @@ costs more than it saves: the dense LU took 158 µs at two threads against
 at any OPENBLAS_NUM_THREADS. The thread-count setter and dgbsv are one
 ctypes binding of the OpenBLAS numpy loaded (`_openblas`); where numpy's
 BLAS is another library, the solve runs at that library's own setting. The
-count is process-wide, so solves from several Python threads take turns
-under one lock, each restoring the count it found.
+count is process-wide and the band work arrays are one per truncation, so
+solves from several Python threads take turns under one lock, each
+restoring the count it found.
 """
 
 from __future__ import annotations
@@ -171,7 +169,7 @@ def _real_entries(sandwiches: list[tuple[np.ndarray, np.ndarray]], dim: int) -> 
 
 
 @functools.lru_cache(maxsize=8)
-def _liouvillian_terms(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _liouvillian_terms(space: Space) -> tuple[np.ndarray, np.ndarray]:
     """Term table of the real generator: L = Σₖ cₖ Lₖ with cₖ from `model_coefficients`.
 
     Rows 0-4 are -i[Hₖ, ·] for the Hamiltonian terms of `model_terms`, rows
@@ -180,9 +178,7 @@ def _liouvillian_terms(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray
     The Lₖ are stored on the union of their nonzero patterns, flat indices
     `pattern` and an (8, pattern.size) value matrix, both read-only. A dense
     (8, d², d²) stack would be over 10x larger at fock_dim 6 and over 100x at
-    fock_dim 20. The third entry is the truncation's zeroed d² × d² generator
-    buffer; only entries on `pattern` are ever written into it, so every
-    other entry stays zero.
+    fock_dim 20.
     """
     dim = space.total_dim
     eye = np.eye(dim)
@@ -201,37 +197,25 @@ def _liouvillian_terms(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray
     pattern, values = pattern[nonzero], values[:, nonzero]
     pattern.setflags(write=False)
     values.setflags(write=False)
-    return pattern, values, np.zeros((dim * dim, dim * dim))
+    return pattern, values
 
 
 @np.errstate(all="ignore")
-def liouvillian_workspace(params: SystemParams) -> np.ndarray:
-    """Real generator of the master equation, written into its truncation's one buffer.
-
-    The point's coefficients times the cached term table go onto the
-    table's fixed pattern; the buffer's other entries are never written and
-    stay zero. The returned array is the buffer itself: it is valid until
-    the next call for the same truncation, and it must not be written to.
-    `mbl` runs one point at a time, so its steady-state paths build here;
-    use `build_liouvillian` for a generator to keep. An entry that overflows
-    is inf, with no warning: the solve or evolution reading it raises NumericalError.
-    """
-    pattern, values, liouv = _liouvillian_terms(params.space())
-    liouv.reshape(-1)[pattern] = np.concatenate(model_coefficients(params)) @ values
-    return liouv
-
-
 def build_liouvillian(params: SystemParams) -> np.ndarray:
     """Real generator of the master equation in the balanced coordinates of `vectorize`.
 
     The Hamiltonian terms, jump operators and rates are those of
-    `model.model_terms` and `model.model_coefficients`. The operator terms
-    come from a table cached per truncation, and the generator is built in
-    that truncation's one buffer by `liouvillian_workspace`; each call
-    returns a fresh copy of it, so the result outlives later builds. The
-    buffer is not reentrant.
+    `model.model_terms` and `model.model_coefficients`. The point's
+    coefficients times the term table cached for its truncation go onto the
+    table's pattern in a fresh zeroed array, which the caller owns. An entry
+    that overflows is inf, with no warning: the solve or evolution reading
+    it raises NumericalError.
     """
-    return liouvillian_workspace(params).copy()
+    space = params.space()
+    pattern, values = _liouvillian_terms(space)
+    liouv = np.zeros((space.total_dim ** 2,) * 2)
+    liouv.reshape(-1)[pattern] = np.concatenate(model_coefficients(params)) @ values
+    return liouv
 
 
 class _OpenBLAS(NamedTuple):

@@ -34,7 +34,6 @@ from .lindblad import (
     fock_populations,
     g2_from_populations,
     g2_zero,
-    liouvillian_workspace,
     steady_state,
 )
 from .model import SWEEPABLE_FIELDS, SystemParams, invalid_mask
@@ -124,6 +123,7 @@ class Constraint:
     source: str | None
     scale: float
     offset_literal: float | None
+    divide: bool = False  # the source is divided by `scale`, so "/3" gives exactly source / 3
 
     @classmethod
     def parse(cls, rule: str) -> "Constraint":
@@ -137,18 +137,22 @@ class Constraint:
         source = match.group("source")
         if source not in SWEEPABLE_FIELDS:
             raise ParameterError(f"constraint {rule!r}: source must be one of {SWEEPABLE_FIELDS}")
-        scale = 1.0
+        scale, divide = 1.0, match.group("op") == "/"
         if match.group("op") is not None:
             scale = _rule_number(rule, match.group("factor"))
-            if match.group("op") == "/":
+            if divide:
                 if scale == 0.0:
                     raise ParameterError(f"constraint {rule!r}: division by zero")
-                scale = finite_real(f"constraint {rule!r}: scale", 1.0 / scale)
-        return cls(target=target, source=source, scale=scale, offset_literal=None)
+                # a divisor whose reciprocal overflows gives ±inf at every source of magnitude 1 or more
+                finite_real(f"constraint {rule!r}: scale", 1.0 / scale)
+        return cls(target=target, source=source, scale=scale, offset_literal=None, divide=divide)
 
     def apply(self, fields: dict) -> None:
         """Set the target in `fields`, whose values are floats or float64 arrays."""
-        value = self.offset_literal if self.source is None else fields[self.source] * self.scale
+        if self.source is None:
+            value = self.offset_literal
+        else:
+            value = fields[self.source] / self.scale if self.divide else fields[self.source] * self.scale
         for name in _expand_param_name(self.target):
             fields[name] = value
 
@@ -259,7 +263,7 @@ def evaluate_point(params: SystemParams, quantity: str) -> dict[str, float]:
     out: dict[str, float] = {}
     if quantity in ("g2_numeric", "both_g2", "populations"):
         space = params.space()
-        rho = steady_state(liouvillian_workspace(params))
+        rho = steady_state(build_liouvillian(params))
         if quantity == "populations":
             for name, value in zip(POPULATION_COLUMNS, population_columns(fock_populations(rho, space)).tolist()):
                 if not math.isfinite(value):

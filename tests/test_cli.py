@@ -679,6 +679,23 @@ def test_config_output_path_must_be_a_string(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig6b", "--out", "{missing}/f.csv"],
+    ["sweep", "--axis1", "delta:-1:1:3", *BRIGHT, "--out", "{missing}/cut.csv"],
+    ["steady", *BRIGHT, "--out", ""],
+    ["figure", "fig6b", "--out", ""],
+], ids=["figure-missing-dir", "sweep-missing-dir", "steady-empty", "figure-empty"])
+def test_unwritable_output_path_is_refused_before_numerics(capsys, tmp_path, monkeypatch, argv):
+    # a path no file can be written to exits 1 before any point is solved, not after the grid
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: calls.append("run_sweep"))
+    monkeypatch.setattr(cli, "steady_coordinates", lambda *args: calls.append("steady_coordinates"))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *(arg.format(missing=tmp_path / "missing") for arg in argv))
+    assert (code, out, calls) == (1, "", []) and err.startswith("error: output path"), err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("gamma", ["nan", "inf", "-3", "0"])
 def test_gamma_must_be_finite_and_positive(capsys, tmp_path, gamma):
     target = tmp_path / "grid.json"

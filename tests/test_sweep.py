@@ -1,5 +1,6 @@
 """Grid machinery: axes, constraints, execution, presets."""
-import tracemalloc
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -8,8 +9,7 @@ import pytest
 from mbl.core import projector
 from mbl.errors import NumericalError, ParameterError
 from mbl.analytic import analytic_g2
-from mbl.lindblad import (build_liouvillian, evolve, fock_populations, g2_zero,
-                          liouvillian_workspace, steady_state)
+from mbl.lindblad import build_liouvillian, evolve, fock_populations, g2_zero, steady_state
 from mbl.model import SystemParams
 from mbl.sweep import (AXIS_ALIASES, FIGURE_NAMES, Constraint, EvolutionJob,
                        SweepAxis, SweepSpec, evaluate_point, figure_preset,
@@ -63,6 +63,16 @@ def test_constraint_scaled_source():
     fields2 = {"omega_d": 0.0, "omega_s": 0.06}
     c2.apply(fields2)
     assert fields2["omega_d"] == 0.03
+
+
+@pytest.mark.parametrize("divisor", [3, 10])
+def test_constraint_divides(divisor):
+    # a rule's /k divides, so each cell is source / k itself, not source times a rounded 1/k
+    axis = SweepAxis.linspace("g_ms", 0.0, 30.0, 121)
+    spec = SweepSpec(base=SystemParams(omega_d=0.01), axis1=axis, constraints=(f"delta = g_ms/{divisor}",))
+    got = np.array([[spec.params_at(i).delta_m, spec.params_at(i).delta_s] for i in range(axis.count)])
+    want = axis.as_array() / divisor
+    assert got.tobytes() == np.stack([want, want], axis=1).tobytes()
 
 
 def test_constraint_literal():
@@ -346,9 +356,8 @@ def test_evaluate_point_rejects_dark_state():
         evaluate_point(p, "g2_numeric")
 
 
-def test_generator_workspace_carries_nothing_between_points(broad_params):
-    # two scenarios at two truncations, so cells alternately reuse and switch
-    # buffers; the dark cell fails after its generator was written
+def test_numeric_cells_carry_nothing_between_points(broad_params):
+    # two scenarios at two truncations, alternating; the dark cell fails after its generator was built
     bright_b = SystemParams(delta_m=2.0, delta_s=2.0, g_ms_tilde=4.0, omega_d=0.01,
                             kappa_m=1.0, kappa_s=0.5, scenario="B")
     points = [broad_params, bright_b, broad_params.replace(fock_dim=4, delta_m=-3.0),
@@ -361,34 +370,67 @@ def test_generator_workspace_carries_nothing_between_points(broad_params):
                 evaluate_point(dark, "g2_numeric")
         else:
             assert evaluate_point(points[k], "g2_numeric")["g2_numeric"] == want[k], k
-    # build_liouvillian hands out copies that outlive the buffer's next point
+    # each build is a fresh array: writing to one changes no later point
     first, second = build_liouvillian(bright_b), build_liouvillian(bright_b)
-    buffer = liouvillian_workspace(bright_b)
-    assert np.array_equal(first, buffer) and np.array_equal(second, buffer)
-    assert not np.shares_memory(first, second)
-    assert not np.shares_memory(first, buffer) and not np.shares_memory(second, buffer)
+    assert np.array_equal(first, second) and not np.shares_memory(first, second)
     first[:] = np.nan
     assert evaluate_point(bright_b, "g2_numeric")["g2_numeric"] == want[1]
-    assert np.array_equal(second, liouvillian_workspace(bright_b))
+    assert np.array_equal(second, build_liouvillian(bright_b))
 
 
-def test_numeric_point_allocates_no_generator(broad_params):
-    # after a warm-up a cell writes into its truncation's buffer, so no
-    # allocation as large as one D² × D² float64 generator is made
-    evaluate_point(broad_params, "g2_numeric")
-    d2 = broad_params.space().total_dim ** 2
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
+def _in_threads(task, threads=4, rounds=3):
+    """`task()` run `rounds` times in each of `threads` Python threads started together, switching often."""
+    start = threading.Barrier(threads, timeout=60)
+    results = [[] for _ in range(threads)]
+
+    def work(out):
+        start.wait()
+        out.extend(task() for _ in range(rounds))
+
+    workers = [threading.Thread(target=work, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
     try:
-        before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        evaluate_point(broad_params, "g2_numeric")
-        _, peak = tracemalloc.get_traced_memory()
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+            assert not worker.is_alive()
     finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    assert peak - before < d2 * d2 * 8, peak - before
+        sys.setswitchinterval(interval)
+    return results
+
+
+def test_cells_solved_from_several_threads_match_the_serial_run(broad_params):
+    # every point builds its own generator, so cells solved at once from several
+    # Python threads give the serial bytes: two truncations, both scenarios, one dark cell
+    bright_b = SystemParams(delta_m=2.0, delta_s=2.0, g_ms_tilde=4.0, omega_d=0.01,
+                            kappa_m=1.0, kappa_s=0.5, scenario="B", fock_dim=4)
+    specs = [SweepSpec(base=broad_params, axis1=SweepAxis.linspace("delta", -12.0, 12.0, 4),
+                       axis2=SweepAxis("omega_d", [0.005, 0.01]), quantity="g2_numeric"),
+             SweepSpec(base=bright_b, axis1=SweepAxis("omega_d", [0.0, 0.002, 0.005, 0.01, 0.02, 0.05]),
+                       quantity="both_g2")]
+    points = [broad_params, bright_b, broad_params.replace(fock_dim=4, delta_m=-3.0),
+              bright_b.replace(fock_dim=6, omega_d=0.02), bright_b.replace(omega_d=0.0)]
+
+    def sweeps():
+        grids = [run_sweep(spec) for spec in specs]
+        return [({name: plane.tobytes() for name, plane in grid.planes.items()}, grid.failures) for grid in grids]
+
+    def cells():
+        out = []
+        for p in points:
+            try:
+                out.append(evaluate_point(p, "g2_numeric")["g2_numeric"].hex())
+            except NumericalError as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+        return out
+
+    want_sweeps, want_cells = sweeps(), cells()
+    assert [failures for _, failures in want_sweeps] == [[], [((0, 0), want_cells[-1])]]
+    assert want_cells[-1].startswith("NumericalError: g2 is undefined")
+    for task, want in ((sweeps, want_sweeps), (cells, want_cells)):
+        assert _in_threads(task) == [[want] * 3] * 4, task.__name__
 
 
 # -------------------------------------------------------------- evolution
